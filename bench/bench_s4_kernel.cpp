@@ -8,9 +8,8 @@
 // scale-out of it, and a deep multi-level topology) the program times
 //   reference  - lama_map over the shared tree
 //   compiled   - lama_map_compiled through one reused PlanExecutor
-//   parallel   - the sliced parallel driver over the same plan (4 chunks)
-// taking the minimum wall time over repeats, verifies that every compiled
-// and parallel run is byte-identical to the reference mapping, and writes
+// taking the minimum wall time over repeats, verifies that the compiled
+// run is byte-identical to the reference mapping, and writes
 // BENCH_s4_kernel.json (argv[1], default ./BENCH_s4_kernel.json). The
 // acceptance bar is min_speedup >= argv[2] (default 3.0): the compiled
 // kernel beats the warm reference walk at least threefold on every case.
@@ -26,7 +25,6 @@
 #include "lama/map_plan.hpp"
 #include "lama/mapper.hpp"
 #include "lama/maximal_tree.hpp"
-#include "lama/parallel_mapper.hpp"
 
 namespace {
 
@@ -77,7 +75,6 @@ struct CaseResult {
   std::uint64_t space;
   std::uint64_t reference_ns;
   std::uint64_t compiled_ns;
-  std::uint64_t parallel_ns;
   double speedup;
 };
 
@@ -92,8 +89,7 @@ CaseResult run_case(const char* name, const Allocation& alloc,
   PlanExecutor exec;
   MappingResult got;
   lama_map_compiled(alloc, opts, plan, exec, got);  // warm-up + identity
-  if (!identical(want, got) ||
-      !identical(want, lama_map_parallel(alloc, opts, plan, 4))) {
+  if (!identical(want, got)) {
     std::fprintf(stderr, "s4_kernel: %s compiled output diverges\n", name);
     std::exit(2);
   }
@@ -108,18 +104,12 @@ CaseResult run_case(const char* name, const Allocation& alloc,
       lama_map_compiled(alloc, opts, plan, exec, got);
     }
   });
-  const std::uint64_t parallel_ns = min_over_repeats([&] {
-    for (std::size_t i = 0; i < kItersPerRepeat; ++i) {
-      (void)lama_map_parallel(alloc, opts, plan, 4);
-    }
-  });
 
   return {name,
           np,
           plan.space,
           reference_ns,
           compiled_ns,
-          parallel_ns,
           static_cast<double>(reference_ns) / static_cast<double>(compiled_ns)};
 }
 
@@ -169,11 +159,10 @@ int main(int argc, char** argv) {
     std::fprintf(out,
                  "    {\"name\": \"%s\", \"np\": %zu, \"space\": %llu, "
                  "\"reference_ns\": %llu, \"compiled_ns\": %llu, "
-                 "\"parallel_compiled_ns\": %llu, \"speedup\": %.3f}%s\n",
+                 "\"speedup\": %.3f}%s\n",
                  r.name, r.np, static_cast<unsigned long long>(r.space),
                  static_cast<unsigned long long>(r.reference_ns),
-                 static_cast<unsigned long long>(r.compiled_ns),
-                 static_cast<unsigned long long>(r.parallel_ns), r.speedup,
+                 static_cast<unsigned long long>(r.compiled_ns), r.speedup,
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out,
@@ -187,9 +176,8 @@ int main(int argc, char** argv) {
   for (const CaseResult& r : results) {
     std::printf(
         "s4_kernel: %-14s np=%-5zu reference=%8.3f ms  compiled=%8.3f ms  "
-        "parallel=%8.3f ms  speedup=%.2fx\n",
-        r.name, r.np, r.reference_ns / 1e6, r.compiled_ns / 1e6,
-        r.parallel_ns / 1e6, r.speedup);
+        "speedup=%.2fx\n",
+        r.name, r.np, r.reference_ns / 1e6, r.compiled_ns / 1e6, r.speedup);
   }
   std::printf("s4_kernel: min_speedup=%.2fx (required %.2fx)  %s\n", worst,
               min_speedup, pass ? "PASS" : "FAIL");

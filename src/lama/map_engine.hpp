@@ -1,15 +1,11 @@
 // The placement decision core of the Figure 1 mapper, factored out of the
-// coordinate walk so that sequential and parallel drivers share one set of
-// semantics. The engine consumes the walk's per-coordinate outcomes — a
-// *viable* target (exists and available) or a skip — in global iteration
-// order, and applies everything that depends on placement history: multi-PU
-// accumulation, resource caps, rank assignment, sweep accounting, and the
-// oversubscription flags. Because all history lives here, any driver that
-// feeds the same outcome stream in the same order produces a byte-identical
-// MappingResult; the parallel mapper (parallel_mapper.hpp) exploits exactly
-// this by recording outcome streams concurrently and replaying them
-// sequentially, and the compiled executor (map_plan.hpp) replicates the
-// same semantics over precompiled slot arrays.
+// coordinate walk (mapper.cpp). The engine consumes the walk's
+// per-coordinate outcomes — a *viable* target (exists and available) or a
+// skip — in global iteration order, and applies everything that depends on
+// placement history: multi-PU accumulation, resource caps, rank assignment,
+// sweep accounting, and the oversubscription flags. The compiled executor
+// (map_plan.hpp) replicates the same semantics over precompiled slot
+// arrays, and is tested byte-for-byte against this engine's results.
 //
 // Cap state is dense: each capped containment level owns a flat usage array
 // indexed by (node, prefix coordinate), so a cap check is a few multiplies
@@ -56,10 +52,6 @@ class PlacementEngine {
   void skip() {
     ++result_.visited;
     ++result_.skipped;
-  }
-  void skip_n(std::size_t n) {
-    result_.visited += n;
-    result_.skipped += n;
   }
 
   // One viable coordinate: `target` exists and is available. May skip it

@@ -19,9 +19,8 @@ std::uint64_t next_plan_uid() {
 }
 
 // Walks the full iteration space once, in exact sequential order, recording
-// every viable coordinate as a slot. Mirrors the recursion of MapWalk /
-// ChunkRecorder so the flat positions enumerate the same order the
-// reference mapper visits.
+// every viable coordinate as a slot. Mirrors the recursion of MapWalk so the
+// flat positions enumerate the same order the reference mapper visits.
 struct PlanBuilder {
   const MaximalTree& mtree;
   MapPlan& plan;
@@ -84,39 +83,12 @@ struct PlanBuilder {
   }
 
   void run() {
-    const int outer = static_cast<int>(plan.visit.size()) - 1;
-    const std::vector<std::size_t>& outer_visit =
-        plan.visit[static_cast<std::size_t>(outer)];
-    for (std::size_t p = 0; p < outer_visit.size(); ++p) {
-      plan.outer_slot_offset[p] = plan.slots.size();
-      coord[static_cast<std::size_t>(outer)] = outer_visit[p];
-      if (outer > 0) {
-        inner_loop(outer - 1);
-      } else {
-        visit_coord();
-      }
-    }
-    plan.outer_slot_offset[outer_visit.size()] = plan.slots.size();
+    inner_loop(static_cast<int>(plan.visit.size()) - 1);
+    plan.trailing_skips = pending_skips;
   }
 };
 
 }  // namespace
-
-PlanSlice MapPlan::slice_outer(std::size_t begin, std::size_t end) const {
-  const std::uint64_t stride = vstride.back();
-  const std::uint64_t flat_begin = begin * stride;
-  const std::uint64_t flat_end = end * stride;
-  PlanSlice s;
-  s.begin = outer_slot_offset[begin];
-  s.end = outer_slot_offset[end];
-  if (s.begin == s.end) {
-    s.trailing = flat_end - flat_begin;
-  } else {
-    s.first_gap = slots[s.begin].pos - flat_begin;
-    s.trailing = flat_end - slots[s.end - 1].pos - 1;
-  }
-  return s;
-}
 
 std::uint64_t map_plan_space(const MaximalTree& mtree,
                              const ProcessLayout& layout,
@@ -179,7 +151,6 @@ MapPlan compile_map_plan(const MaximalTree& mtree, const ProcessLayout& layout,
   plan.num_nodes = mtree.num_nodes();
   plan.online_capacity = mtree.online_pu_capacity();
   plan.avail.assign((plan.space + 63) / 64, 0);
-  plan.outer_slot_offset.assign(plan.outer_extent() + 1, 0);
 
   PlanBuilder(mtree, plan).run();
   return plan;
@@ -344,8 +315,7 @@ void PlanExecutor::end_sweep(MappingResult& out) {
 }
 
 void PlanExecutor::run(const Allocation& alloc, const MapOptions& opts,
-                       const MapPlan& plan, std::span<const PlanSlice> slices,
-                       MappingResult& out) {
+                       const MapPlan& plan, MappingResult& out) {
   detail::validate_compiled_inputs(alloc, opts, plan);
   bind(plan);
   reset_run_state(opts, plan, out);
@@ -353,41 +323,34 @@ void PlanExecutor::run(const Allocation& alloc, const MapOptions& opts,
   while (rank_ < np_) {
     check_deadline(opts, out);
     begin_sweep();
-    bool placed_all = false;
-    for (const PlanSlice& slice : slices) {
-      for (std::size_t i = slice.begin; i < slice.end; ++i) {
-        const MapPlan::Slot& s = plan.slots[i];
-        const std::uint64_t gap =
-            i == slice.begin ? slice.first_gap : s.skips_before;
-        out.visited += gap;
-        out.skipped += gap;
-        ++out.visited;
-        if (((++offer_count_) & 0xFFF) == 0) check_deadline(opts, out);
-        Pending& acc = pending_[s.node];
-        if (caps_active_ && acc.targets == 0 && capped_out(plan, s, out)) {
-          ++out.skipped;
-          continue;
-        }
-        if (acc.targets == 0) {
-          acc.nc_flat = s.nc_flat;
-          plan.decode_coord(s.pos, acc.coord);
-        }
-        acc.pus |= *s.pus;
-        acc.slot_ids.push_back(static_cast<std::uint32_t>(i));
-        if (++acc.targets == pus_per_proc_) {
-          emit(plan, s.node, out);
-          if (rank_ == np_) {
-            // The np-th rank is placed: stop exactly here, like the
-            // sequential walk's early return — later coordinates are never
-            // counted visited. The partial sweep still counts.
-            placed_all = true;
-            break;
-          }
-        }
+    for (std::size_t i = 0; i < plan.slots.size(); ++i) {
+      const MapPlan::Slot& s = plan.slots[i];
+      out.visited += s.skips_before;
+      out.skipped += s.skips_before;
+      ++out.visited;
+      if (((++offer_count_) & 0xFFF) == 0) check_deadline(opts, out);
+      Pending& acc = pending_[s.node];
+      if (caps_active_ && acc.targets == 0 && capped_out(plan, s, out)) {
+        ++out.skipped;
+        continue;
       }
-      if (placed_all) break;
-      out.visited += slice.trailing;
-      out.skipped += slice.trailing;
+      if (acc.targets == 0) {
+        acc.nc_flat = s.nc_flat;
+        plan.decode_coord(s.pos, acc.coord);
+      }
+      acc.pus |= *s.pus;
+      acc.slot_ids.push_back(static_cast<std::uint32_t>(i));
+      if (++acc.targets == pus_per_proc_) {
+        emit(plan, s.node, out);
+        // The np-th rank is placed: stop exactly here, like the sequential
+        // walk's early return — later coordinates are never counted
+        // visited. The partial sweep still counts.
+        if (rank_ == np_) break;
+      }
+    }
+    if (rank_ < np_) {
+      out.visited += plan.trailing_skips;
+      out.skipped += plan.trailing_skips;
     }
     end_sweep(out);
   }
@@ -412,8 +375,7 @@ void PlanExecutor::run(const Allocation& alloc, const MapOptions& opts,
 void lama_map_compiled(const Allocation& alloc, const MapOptions& opts,
                        const MapPlan& plan, PlanExecutor& exec,
                        MappingResult& out) {
-  const PlanSlice full = plan.slice_outer(0, plan.outer_extent());
-  exec.run(alloc, opts, plan, std::span<const PlanSlice>(&full, 1), out);
+  exec.run(alloc, opts, plan, out);
 }
 
 MappingResult lama_map_compiled(const Allocation& alloc, const MapOptions& opts,

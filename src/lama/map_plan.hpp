@@ -16,14 +16,17 @@
 //     index (nc_flat) from which every level's cap bucket is a single
 //     divide — no per-check key vectors, no hash maps.
 //
-// PlanExecutor replays slots through the same placement semantics as
+// PlanExecutor runs each sweep as one linear scan of the slot array,
+// charging every slot's skip gap and the plan's trailing skips to the
+// visited/skipped counters, with the placement semantics of
 // detail::PlacementEngine (multi-PU accumulation, resource caps, wraparound
-// sweeps, oversubscription flags), but against preallocated dense arrays:
-// after a warm-up run, steady-state executions perform zero heap
-// allocations (asserted by tests/lama/zero_alloc_test.cpp). Results are
-// byte-identical to lama_map() for every layout, allocation, and option set
-// (the differential sweeps in tests/lama/compiled_differential_test.cpp and
-// the full 9! sweep pin this down).
+// sweeps, oversubscription flags) over preallocated dense arrays: after a
+// warm-up run, steady-state executions perform zero heap allocations
+// (asserted by tests/lama/zero_alloc_test.cpp). Results are byte-identical
+// to lama_map() for every layout, allocation, and option set (the
+// differential sweeps in tests/lama/compiled_differential_test.cpp, the
+// Fig. 2 golden in tests/lama/mapper_test.cpp and the full 9! sweep pin
+// this down).
 //
 // Lifetime: a MapPlan borrows the PU bitmaps of the MaximalTree it was
 // compiled from and must not outlive it. The service's PlanCache
@@ -46,22 +49,6 @@
 namespace lama {
 
 class MaximalTree;
-
-// One contiguous range of a plan's slot array plus the skip mass at its
-// edges, so a partition of the iteration space into slices replays with the
-// exact visited/skipped accounting of the sequential walk. Produced by
-// MapPlan::slice_outer(); the parallel driver slices per chunk, the
-// sequential driver uses one slice covering everything.
-struct PlanSlice {
-  std::size_t begin = 0;  // first slot index
-  std::size_t end = 0;    // one past the last slot index
-  // Nonexistent/unavailable coordinates between the slice's first flat
-  // position and its first slot (replaces that slot's skips_before).
-  std::uint64_t first_gap = 0;
-  // Ditto between the last slot and the end of the slice's flat range; the
-  // whole range when the slice contains no slot.
-  std::uint64_t trailing = 0;
-};
 
 struct MapPlan {
   // One viable coordinate of the iteration space, in walk order.
@@ -108,13 +95,12 @@ struct MapPlan {
   // --- the compiled walk --------------------------------------------------
   std::vector<Slot> slots;               // every viable coordinate, in order
   std::vector<std::uint64_t> avail;      // bitset over flat positions
-  // Slot count before each outermost visit position (size outer_extent()+1),
-  // so any contiguous range of outer positions maps to a slot range.
-  std::vector<std::size_t> outer_slot_offset;
+  // Nonexistent/unavailable coordinates after the last slot (the whole
+  // space when there is no slot). With every slot's skips_before they
+  // account for the full space: sum(skips_before) + slots.size() +
+  // trailing_skips == space.
+  std::uint64_t trailing_skips = 0;
 
-  [[nodiscard]] std::size_t outer_extent() const {
-    return extents.empty() ? 0 : static_cast<std::size_t>(extents.back());
-  }
   [[nodiscard]] bool avail_bit(std::uint64_t p) const {
     return (avail[p >> 6] >> (p & 63)) & 1u;
   }
@@ -130,10 +116,6 @@ struct MapPlan {
       out[l] = visit[l][(pos / vstride[l]) % extents[l]];
     }
   }
-
-  // The slice covering outermost visit positions [begin, end).
-  [[nodiscard]] PlanSlice slice_outer(std::size_t begin,
-                                      std::size_t end) const;
 };
 
 // Size of the iteration space a plan for this triple would enumerate —
@@ -165,13 +147,11 @@ class PlanExecutor {
   // comparison); called automatically by run().
   void bind(const MapPlan& plan);
 
-  // Executes the plan over `slices` — a partition of the full iteration
-  // space in walk order — writing the mapping into `out` (buffers reused).
+  // Executes the plan, writing the mapping into `out` (buffers reused).
   // Throws exactly like lama_map: MappingError when a sweep places nothing,
   // OversubscribeError per policy, CancelledError past the deadline.
   void run(const Allocation& alloc, const MapOptions& opts,
-           const MapPlan& plan, std::span<const PlanSlice> slices,
-           MappingResult& out);
+           const MapPlan& plan, MappingResult& out);
 
  private:
   struct Pending {

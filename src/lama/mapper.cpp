@@ -15,8 +15,8 @@ namespace {
 // the paper's Figure 1: inner_loop(level) iterates the level's resources,
 // recursing toward level 0 (the leftmost, innermost layout letter) where
 // each coordinate is resolved against the targeted node's pruned tree and
-// handed to the PlacementEngine — which owns all placement history (multi-PU
-// accumulation, caps, ranks, sweeps) so the parallel driver can share it.
+// handed to the PlacementEngine, which owns all placement history (multi-PU
+// accumulation, caps, ranks, sweeps).
 struct MapWalk {
   const MaximalTree& mtree;
   const std::vector<ResourceType>& order;  // layout, innermost first

@@ -2,8 +2,9 @@
 // form of the trace-event format ({"traceEvents": [...]}), loadable in
 // chrome://tracing and Perfetto. Every span becomes a complete ("X") event
 // with microsecond timestamps relative to the trace's begin, pid 1, and the
-// recording ring index as tid — so the parallel-walk chunks line up as
-// separate tracks under the request.
+// recording ring index as tid — so spans recorded on worker threads (such
+// as OPTIMIZE's opt_candidate spans) line up as separate tracks under the
+// request.
 #pragma once
 
 #include <string>

@@ -2,9 +2,8 @@
 // push() is wait-free for the owner (a seqlock per slot, overwrite-oldest),
 // and any other thread may collect() a consistent snapshot of the spans that
 // belong to one trace. The process-wide RingRegistry leases rings to threads
-// on first use and recycles them on thread exit, so the short-lived chunk
-// workers of lama_map_parallel reuse a bounded pool of rings instead of
-// growing the registry per mapping.
+// on first use and recycles them on thread exit, so thread churn reuses a
+// bounded pool of rings instead of growing the registry.
 //
 // Memory model: every slot field is a relaxed atomic bracketed by an
 // acquire/release sequence counter (odd while the owner writes). Readers

@@ -1,5 +1,5 @@
 // Trace spans: the unit of request observability. A span is one timed stage
-// of one request — parse, cache lookup, tree build, a parallel walk chunk,
+// of one request — parse, cache lookup, tree build, a placement sweep,
 // the binding step, … — stamped with the request's trace id and the ring
 // index of the recording thread. Spans are plain values small enough to
 // publish through the lock-free per-thread rings (ring.hpp); assembly into
@@ -20,10 +20,8 @@ enum class Stage : std::uint8_t {
   kLookup,         // tree-cache probe (covers build/wait on a miss)
   kBuild,          // maximal-tree construction
   kCoalesceWait,   // waited on another request's in-flight build
-  kMap,            // the mapping walk (sequential or parallel)
-  kChunk,          // one worker's recorded subspace in lama_map_parallel
-  kAssemble,       // deterministic replay of the recorded chunks
-  kSweep,          // one wraparound sweep of the placement engine
+  kMap,            // the mapping walk (reference or compiled)
+  kSweep,          // one wraparound sweep of the placement walk
   kBind,           // the binding step (per-rank cpusets)
   kReply,          // response formatting
   kBatch,          // a MAPBATCH/BATCH request as a whole
@@ -54,8 +52,6 @@ constexpr const char* stage_name(Stage s) {
     case Stage::kBuild: return "tree_build";
     case Stage::kCoalesceWait: return "coalesce_wait";
     case Stage::kMap: return "map_walk";
-    case Stage::kChunk: return "chunk";
-    case Stage::kAssemble: return "assemble";
     case Stage::kSweep: return "sweep";
     case Stage::kBind: return "bind";
     case Stage::kReply: return "reply";
@@ -104,7 +100,7 @@ struct Span {
   std::uint64_t start_ns = 0;
   std::uint64_t end_ns = 0;
   std::uint32_t tid = 0;     // recording thread's ring index
-  std::uint32_t detail = 0;  // chunk index / sweep number / job slot
+  std::uint32_t detail = 0;  // sweep number / candidate index / job slot
   Stage stage = Stage::kRequest;
 };
 

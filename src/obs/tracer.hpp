@@ -1,6 +1,6 @@
 // The tracer ties the pieces together: it assigns trace ids, carries the
-// active trace through thread-local context (with explicit handoff to the
-// parallel-walk worker threads), decides via head-based sampling whether a
+// active trace through thread-local context (with explicit handoff to
+// worker-pool threads), decides via head-based sampling whether a
 // finished request is worth assembling, and feeds assembled traces to the
 // flight recorder. Failed requests are always assembled — sampling only
 // thins the healthy traffic.

@@ -42,7 +42,7 @@ struct QueryResult {
 };
 
 // One job of a MAPBATCH request. Options are the MAP key=value pairs
-// ("threads=4", "bind=core", ...), one per element — format_mapbatch joins
+// ("bind=core", "npernode=2", ...), one per element — format_mapbatch joins
 // them with the job's '/' separator.
 struct BatchJob {
   std::string alloc_id;

@@ -20,8 +20,7 @@ std::string Counters::stats_line() const {
       "coalesced=%llu evictions=%llu uncached=%llu cached=%llu shed=%llu "
       "deadlined=%llu integrity_failures=%llu degraded=%llu "
       "invalidations=%llu remaps=%llu batched=%llu batch_jobs=%llu "
-      "parallel_maps=%llu map_p50_us=%llu "
-      "map_p99_us=%llu parallel_map_p99_us=%llu build_p99_us=%llu "
+      "map_p50_us=%llu map_p99_us=%llu build_p99_us=%llu "
       "total_p99_us=%llu lookup_p50_us=%llu lookup_p99_us=%llu "
       "plan_hits=%llu plan_misses=%llu plan_compile_p99_us=%llu "
       "compiled_map_p50_us=%llu compiled_map_p99_us=%llu "
@@ -44,11 +43,8 @@ std::string Counters::stats_line() const {
       static_cast<unsigned long long>(load(remaps)),
       static_cast<unsigned long long>(load(batched)),
       static_cast<unsigned long long>(load(batch_jobs)),
-      static_cast<unsigned long long>(load(parallel_maps)),
       static_cast<unsigned long long>(map_ns.percentile_ns(50) / 1000),
       static_cast<unsigned long long>(map_ns.percentile_ns(99) / 1000),
-      static_cast<unsigned long long>(parallel_map_ns.percentile_ns(99) /
-                                      1000),
       static_cast<unsigned long long>(build_ns.percentile_ns(99) / 1000),
       static_cast<unsigned long long>(total_ns.percentile_ns(99) / 1000),
       static_cast<unsigned long long>(lookup_ns.percentile_ns(50) / 1000),
@@ -100,10 +96,9 @@ std::string Counters::render() const {
                 static_cast<unsigned long long>(load(remaps)));
   out += buf;
   std::snprintf(buf, sizeof(buf),
-                "batch  batched %llu, jobs %llu, parallel maps %llu\n",
+                "batch  batched %llu, jobs %llu\n",
                 static_cast<unsigned long long>(load(batched)),
-                static_cast<unsigned long long>(load(batch_jobs)),
-                static_cast<unsigned long long>(load(parallel_maps)));
+                static_cast<unsigned long long>(load(batch_jobs)));
   out += buf;
   {
     const std::uint64_t hits = load(plan_hits);
@@ -139,7 +134,6 @@ std::string Counters::render() const {
   out += "lookup  " + lookup_ns.summary() + "\n";
   out += "build   " + build_ns.summary() + "\n";
   out += "map     " + map_ns.summary() + "\n";
-  out += "pmap    " + parallel_map_ns.summary() + "\n";
   out += "compile " + plan_compile_ns.summary() + "\n";
   out += "cmap    " + compiled_map_ns.summary() + "\n";
   out += "opt     " + opt_ns.summary() + "\n";

@@ -47,9 +47,6 @@ struct Counters {
   std::atomic<std::uint64_t> batched{0};     // MAPBATCH requests accepted
   std::atomic<std::uint64_t> batch_jobs{0};  // jobs carried by those batches
 
-  // Parallel-mapper accounting (lama_map_parallel, threads >= 2).
-  std::atomic<std::uint64_t> parallel_maps{0};
-
   // Optimizer accounting (svc/opt_cache.hpp, docs/optimize.md). Every
   // OPTIMIZE request increments opt_requests and exactly one of
   // opt_hits / opt_misses; opt_candidates and opt_swaps accumulate the
@@ -71,7 +68,6 @@ struct Counters {
   LatencyHistogram lookup_ns;  // cache probe, excluding build/wait
   LatencyHistogram build_ns;   // maximal-tree construction on a miss
   LatencyHistogram map_ns;     // the mapping walk itself
-  LatencyHistogram parallel_map_ns;  // mapping walks run by lama_map_parallel
   LatencyHistogram plan_compile_ns;  // compiling a MapPlan on a plan miss
   LatencyHistogram compiled_map_ns;  // walks executed from a compiled plan
   LatencyHistogram opt_ns;     // placement searches run by OPTIMIZE misses

@@ -411,9 +411,6 @@ MapRequest ProtocolSession::Impl::parse_map_command(
     } else if (key == "timeout") {
       request.timeout_ms = static_cast<std::uint32_t>(
           parse_size_bounded(value, "MAP timeout", kMaxTimeoutMs));
-    } else if (key == "threads") {
-      request.map_threads =
-          parse_size_bounded(value, "MAP threads", kMaxMapThreads);
     } else {
       throw ParseError("unknown MAP option '" + key + "'");
     }
@@ -644,7 +641,7 @@ std::string ProtocolSession::Impl::handle_optimize(
           parse_size_bounded(value, "OPTIMIZE timeout", kMaxTimeoutMs));
     } else if (key == "threads") {
       request.threads =
-          parse_size_bounded(value, "OPTIMIZE threads", kMaxMapThreads);
+          parse_size_bounded(value, "OPTIMIZE threads", kMaxOptThreads);
     } else {
       throw ParseError("unknown OPTIMIZE option '" + key + "'");
     }

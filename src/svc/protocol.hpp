@@ -38,10 +38,10 @@
 //   QUIT            -> OK bye (serving stops; EOF works too)
 //
 // MAP options: oversub=0|1, pus=<per-proc PUs>, npernode=<cap>,
-// bind=<target>, timeout=<ms>, threads=<mapping workers> (0 = sequential
-// walk; N runs lama_map_parallel — same bytes out either way). MAPBATCH
-// jobs take the same options, '/'-separated since a job must stay one
-// token. Blank lines and '#' comments are ignored.
+// bind=<target>, timeout=<ms>; any other key (threads= included) answers
+// "ERR parse error: unknown MAP option '<key>'". MAPBATCH jobs take the
+// same options, '/'-separated since a job must stay one token. Blank lines
+// and '#' comments are ignored.
 // All numeric fields are parsed with overflow rejection and protocol bounds
 // (kMaxNp and friends) — malformed or absurd input answers ERR and the
 // session continues; nothing a client sends can wrap an integer or
@@ -75,7 +75,6 @@ inline constexpr std::size_t kMaxSlots = 1u << 20;      // slots per NODE
 inline constexpr std::size_t kMaxPusPerProc = 1u << 12;
 inline constexpr std::size_t kMaxBatch = 4096;          // jobs per (MAP)BATCH
 inline constexpr std::size_t kMaxTimeoutMs = 3'600'000; // one hour
-inline constexpr std::size_t kMaxMapThreads = 64;       // threads= per MAP
 inline constexpr std::size_t kMaxNodesPerAlloc = 1u << 16;
 // OPTIMIZE runs an O(np^2) evaluation per candidate and O(np^3) refinement
 // passes, so its np is bounded far below kMaxNp — a hostile count must not
@@ -85,6 +84,7 @@ inline constexpr std::size_t kMaxOptNp = 256;           // processes
 inline constexpr std::size_t kMaxOptMatrixLines = 8192; // payload lines
 inline constexpr std::size_t kMaxOptCandidates = 64;    // budget=
 inline constexpr std::size_t kMaxOptPasses = 16;        // passes=
+inline constexpr std::size_t kMaxOptThreads = 64;       // threads=
 
 // One live protocol session: named allocations under construction, their
 // availability epochs, and the last lama mapping per allocation (what REMAP

@@ -7,7 +7,7 @@
 
 #include "cluster/alloc_serialize.hpp"
 #include "dur/state_store.hpp"
-#include "lama/parallel_mapper.hpp"
+#include "lama/map_plan.hpp"
 #include "obs/clock.hpp"
 #include "support/error.hpp"
 
@@ -198,53 +198,33 @@ MapResponse MappingService::map(const MapRequest& request) {
 MappingResult MappingService::run_lama_walk(const Allocation& alloc,
                                             const ProcessLayout& layout,
                                             const MapOptions& opts,
-                                            const MaximalTree* tree,
-                                            std::size_t threads) {
-  const obs::SpanScope map_span(obs::Stage::kMap,
-                                static_cast<std::uint32_t>(threads));
+                                            const MaximalTree* tree) {
+  const obs::SpanScope map_span(obs::Stage::kMap);
   const auto start = std::chrono::steady_clock::now();
-  MappingResult mapping;
-  if (threads > 0) {
-    counters_.parallel_maps.fetch_add(1, std::memory_order_relaxed);
-    mapping = tree != nullptr
-                  ? lama_map_parallel(alloc, layout, opts, *tree, threads)
-                  : lama_map_parallel(alloc, layout, opts, threads);
-    counters_.parallel_map_ns.record_ns(elapsed_ns(start));
-  } else {
-    mapping = tree != nullptr ? lama_map(alloc, layout, opts, *tree)
+  MappingResult mapping = tree != nullptr
+                              ? lama_map(alloc, layout, opts, *tree)
                               : lama_map(alloc, layout, opts);
-  }
-  // map_ns covers every lama walk, sequential or parallel;
-  // parallel_map_ns above isolates the parallel ones.
   counters_.map_ns.record_ns(elapsed_ns(start));
   return mapping;
 }
 
 MappingResult MappingService::run_compiled_walk(const Allocation& alloc,
                                                 const MapOptions& opts,
-                                                const MapPlan& plan,
-                                                std::size_t threads) {
-  const obs::SpanScope map_span(obs::Stage::kMap,
-                                static_cast<std::uint32_t>(threads));
+                                                const MapPlan& plan) {
+  const obs::SpanScope map_span(obs::Stage::kMap);
   const auto start = std::chrono::steady_clock::now();
   MappingResult mapping;
   {
     const obs::SpanScope exec_span(obs::Stage::kPlanExec);
-    if (threads > 0) {
-      counters_.parallel_maps.fetch_add(1, std::memory_order_relaxed);
-      mapping = lama_map_parallel(alloc, opts, plan, threads);
-      counters_.parallel_map_ns.record_ns(elapsed_ns(start));
-    } else {
-      // One executor per worker thread: its dense arenas stay sized for the
-      // plans that thread replays, so steady-state walks allocate nothing
-      // inside the executor.
-      thread_local PlanExecutor executor;
-      lama_map_compiled(alloc, opts, plan, executor, mapping);
-    }
+    // One executor per worker thread: its dense arenas stay sized for the
+    // plans that thread replays, so steady-state walks allocate nothing
+    // inside the executor.
+    thread_local PlanExecutor executor;
+    lama_map_compiled(alloc, opts, plan, executor, mapping);
   }
   const std::uint64_t took = elapsed_ns(start);
   counters_.compiled_map_ns.record_ns(took);
-  // map_ns covers every lama walk — reference, parallel, or compiled.
+  // map_ns covers every lama walk, reference or compiled.
   counters_.map_ns.record_ns(took);
   return mapping;
 }
@@ -304,8 +284,7 @@ MapResponse MappingService::map_uncaught(const MapRequest& request,
       cached.reset();
       response.cache_hit = false;
       response.degraded = true;
-      response.mapping = run_lama_walk(client_alloc, layout, opts, nullptr,
-                                       request.map_threads);
+      response.mapping = run_lama_walk(client_alloc, layout, opts, nullptr);
     } else {
       mapped_alloc = &cached->alloc();
       throw_if_past(opts.deadline_ns, "the mapping walk");
@@ -322,13 +301,11 @@ MapResponse MappingService::map_uncaught(const MapRequest& request,
       }
       if (plan != nullptr) {
         mapped_alloc = &plan->tree()->alloc();
-        response.mapping = run_compiled_walk(plan->tree()->alloc(), opts,
-                                             plan->plan(),
-                                             request.map_threads);
-      } else {
         response.mapping =
-            run_lama_walk(cached->alloc(), cached->layout(), opts,
-                          &cached->tree(), request.map_threads);
+            run_compiled_walk(plan->tree()->alloc(), opts, plan->plan());
+      } else {
+        response.mapping = run_lama_walk(cached->alloc(), cached->layout(),
+                                         opts, &cached->tree());
       }
     }
   } else {
@@ -643,9 +620,6 @@ obs::MetricsSnapshot MappingService::metrics_snapshot() const {
                   load(c.batched));
   snap.add_scalar("lama_batch_jobs_total", "Jobs carried by batches", "counter",
                   load(c.batch_jobs));
-  snap.add_scalar("lama_parallel_maps_total",
-                  "Mapping walks run by the parallel mapper", "counter",
-                  load(c.parallel_maps));
   snap.add_scalar("lama_plan_cache_hits_total",
                   "Compiled plans served from the LRU", "counter",
                   load(c.plan_hits));
@@ -686,8 +660,6 @@ obs::MetricsSnapshot MappingService::metrics_snapshot() const {
   add_summary(snap, "lama_build_ns", "Maximal-tree build latency (ns)",
               c.build_ns);
   add_summary(snap, "lama_map_ns", "Mapping walk latency (ns)", c.map_ns);
-  add_summary(snap, "lama_parallel_map_ns",
-              "Parallel mapping walk latency (ns)", c.parallel_map_ns);
   add_summary(snap, "lama_plan_compile_ns", "Plan compilation latency (ns)",
               c.plan_compile_ns);
   add_summary(snap, "lama_compiled_map_ns",

@@ -135,11 +135,6 @@ struct MapRequest {
   // queue wait). 0 falls back to ServiceConfig::default_timeout_ms; if
   // opts.deadline_ns is already set it wins.
   std::uint32_t timeout_ms = 0;
-  // Worker threads for the mapping walk itself (lama_map_parallel): 0 runs
-  // the sequential mapper, N >= 1 records the walk on N workers and
-  // assembles deterministically — the result is byte-identical either way.
-  // Honored on the "lama" spec only; baseline components ignore it.
-  std::size_t map_threads = 0;
 };
 
 // A remap request: re-place `previous` (produced over an earlier epoch of
@@ -325,19 +320,16 @@ class MappingService {
  private:
   MapResponse map_uncaught(const MapRequest& request,
                            std::uint64_t deadline_ns);
-  // The timed mapping walk of the lama path: sequential or parallel per
-  // `threads` (see MapRequest::map_threads), against a cached tree when
-  // `tree` is non-null.
+  // The timed reference walk (lama_map) of the lama path, against a cached
+  // tree when `tree` is non-null.
   MappingResult run_lama_walk(const Allocation& alloc,
                               const ProcessLayout& layout,
-                              const MapOptions& opts, const MaximalTree* tree,
-                              std::size_t threads);
-  // The timed compiled-kernel walk: replays `plan` through a reused
-  // PlanExecutor (sequential) or the sliced parallel driver (threads >= 1).
-  // `alloc` must be the allocation of the tree the plan was compiled from.
+                              const MapOptions& opts, const MaximalTree* tree);
+  // The timed compiled-kernel walk: replays `plan` through the worker
+  // thread's reused PlanExecutor. `alloc` must be the allocation of the tree
+  // the plan was compiled from.
   MappingResult run_compiled_walk(const Allocation& alloc,
-                                  const MapOptions& opts, const MapPlan& plan,
-                                  std::size_t threads);
+                                  const MapOptions& opts, const MapPlan& plan);
   MapResponse run_counted(const char* verb, std::uint32_t timeout_ms,
                           const std::function<MapResponse(std::uint64_t)>& fn);
   MapResponse shed_response();

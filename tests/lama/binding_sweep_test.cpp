@@ -4,6 +4,7 @@
 // by example.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "lama/binding.hpp"
@@ -17,6 +18,14 @@ struct SweepCase {
   BindTarget target;
   std::size_t expected_width;  // PUs under one object of that level
 };
+
+// Printed as the case itself. gtest's default printer dumps the struct's
+// bytes — the desc pointer and the padding after target — into the listed
+// test names, so they changed with every relink and, under ASLR, per build.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.desc << " bind " << bind_target_name(c.target) << " width "
+      << c.expected_width;
+}
 
 class BindingSweepTest : public ::testing::TestWithParam<SweepCase> {};
 

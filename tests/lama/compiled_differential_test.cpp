@@ -2,9 +2,8 @@
 // sample of the 9! full-alphabet layout space (the same sample, from the
 // same seed, as layout_sweep_test.cpp) on homogeneous, heterogeneous, and
 // off-lined allocations. For every sampled layout the compiled plan must
-// reproduce the reference walk byte-for-byte — sequentially, and through
-// the sliced parallel driver. The exhaustive 362,880-layout compiled sweep
-// rides in full_sweep_slow_test.cpp under the "slow" label.
+// reproduce the reference walk byte-for-byte. The exhaustive 362,880-layout
+// compiled sweep rides in full_sweep_slow_test.cpp under the "slow" label.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -14,7 +13,6 @@
 #include "lama/map_plan.hpp"
 #include "lama/mapper.hpp"
 #include "lama/maximal_tree.hpp"
-#include "lama/parallel_mapper.hpp"
 #include "support/rng.hpp"
 
 namespace lama {
@@ -54,9 +52,6 @@ void sweep_allocation(const Allocation& alloc, std::size_t np,
     lama_map_compiled(alloc, opts, plan, exec, got);
     test::expect_identical_mappings(
         want, got, std::string(tag) + " " + layout.to_string());
-    test::expect_identical_mappings(
-        want, lama_map_parallel(alloc, opts, plan, 4),
-        std::string(tag) + " parallel " + layout.to_string());
   });
   EXPECT_EQ(tested, kSampleSize);
 }

@@ -1,9 +1,9 @@
 // Seeded sample of the paper's 9! layout-permutation space on a
 // heterogeneous allocation with off-lined resources. Every sampled layout
 // must satisfy the mapping invariants (all ranks placed, no target used
-// twice below capacity, availability skipping honored) and the parallel
-// mapper must reproduce the sequential mapping byte-for-byte at 1, 2, 4,
-// and 8 threads. The exhaustive 362,880-layout sweep lives in
+// twice below capacity, availability skipping honored) and the compiled
+// kernel must reproduce the reference mapping byte-for-byte. The
+// exhaustive 362,880-layout sweep lives in
 // full_sweep_slow_test.cpp under the "slow" ctest label; this sample keeps
 // the default run fast while still crossing the whole space.
 #include <gtest/gtest.h>
@@ -12,9 +12,9 @@
 #include <utility>
 
 #include "common/fixtures.hpp"
+#include "lama/map_plan.hpp"
 #include "lama/mapper.hpp"
 #include "lama/maximal_tree.hpp"
-#include "lama/parallel_mapper.hpp"
 #include "support/rng.hpp"
 
 namespace lama {
@@ -61,7 +61,7 @@ void check_invariants(const MappingResult& m, std::size_t capacity,
   EXPECT_EQ(total, capacity) << m.layout;
 }
 
-TEST(LayoutSweep, SampledPermutationsInvariantAndParallelIdentical) {
+TEST(LayoutSweep, SampledPermutationsInvariantAndCompiledIdentical) {
   const Allocation alloc = test::hetero_two_node_offline_allocation();
   // 6 online SMT PUs + 3 bare cores.
   const std::size_t capacity = 9;
@@ -69,6 +69,8 @@ TEST(LayoutSweep, SampledPermutationsInvariantAndParallelIdentical) {
   const MapOptions opts{.np = capacity};
 
   const std::set<std::uint64_t> picks = sampled_indices();
+  PlanExecutor exec;
+  MappingResult got;
   std::uint64_t index = 0;
   std::size_t tested = 0;
   ProcessLayout::for_each_full_permutation([&](const ProcessLayout& layout) {
@@ -80,14 +82,9 @@ TEST(LayoutSweep, SampledPermutationsInvariantAndParallelIdentical) {
     const MaximalTree mtree(alloc, layout);
     const MappingResult want = lama_map(alloc, layout, opts, mtree);
     check_invariants(want, capacity, offline);
-    for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                std::size_t{4}, std::size_t{8}}) {
-      const MappingResult got =
-          lama_map_parallel(alloc, layout, opts, mtree, threads);
-      test::expect_identical_mappings(
-          want, got,
-          layout.to_string() + " threads=" + std::to_string(threads));
-    }
+    const MapPlan plan = compile_map_plan(mtree, layout, IterationPolicy{});
+    lama_map_compiled(alloc, opts, plan, exec, got);
+    test::expect_identical_mappings(want, got, layout.to_string());
   });
   EXPECT_EQ(tested, kSampleSize);
 }

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <thread>
 
 #include "common/fixtures.hpp"
+#include "lama/map_plan.hpp"
 #include "lama/maximal_tree.hpp"
 #include "support/error.hpp"
 #include "topo/presets.hpp"
@@ -13,6 +17,16 @@ namespace lama {
 namespace {
 
 using test::figure2_allocation;
+using test::format_mapping_table;
+
+std::string read_golden(const std::string& name) {
+  const std::string path = std::string(LAMA_TEST_GOLDEN_DIR) + "/" + name;
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << "missing golden file " << path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
 
 // PU index on a figure2 node for (socket, node-wide core, thread).
 std::size_t pu_of(std::size_t socket, std::size_t core_in_socket,
@@ -53,6 +67,23 @@ TEST(Mapper, Figure2ExactReproduction) {
   EXPECT_FALSE(m.slot_oversubscribed);
   EXPECT_EQ(m.procs_per_node[0], 16u);
   EXPECT_EQ(m.procs_per_node[1], 8u);
+}
+
+// The Fig. 2 table is pinned to a committed golden file, for both the
+// reference walk and the compiled kernel, so a simultaneous change to both
+// cannot slip through their differential checks.
+TEST(Mapper, GoldenFig2MatchesCommittedTable) {
+  const MappingResult m = lama_map(figure2_allocation(), "scbnh", {.np = 24});
+  EXPECT_EQ(format_mapping_table(m), read_golden("fig2_scbnh_np24.txt"));
+}
+
+TEST(Mapper, GoldenFig2CompiledMatchesCommittedTable) {
+  const Allocation alloc = figure2_allocation();
+  const ProcessLayout layout = ProcessLayout::parse("scbnh");
+  const MaximalTree mtree(alloc, layout);
+  const MapPlan plan = compile_map_plan(mtree, layout, IterationPolicy{});
+  const MappingResult m = lama_map_compiled(alloc, {.np = 24}, plan);
+  EXPECT_EQ(format_mapping_table(m), read_golden("fig2_scbnh_np24.txt"));
 }
 
 TEST(Mapper, PackLayoutFillsDepthFirst) {

@@ -187,14 +187,14 @@ TEST(ChromeExport, ProducesSchemaValidTraceEventJson) {
   lookup.end_ns = 1'000'020'000;
   lookup.detail = 1;
   lookup.stage = Stage::kLookup;
-  Span chunk;
-  chunk.trace_id = 42;
-  chunk.start_ns = 1'000'030'000;
-  chunk.end_ns = 1'000'100'500;
-  chunk.tid = 3;
-  chunk.detail = 2;
-  chunk.stage = Stage::kChunk;
-  trace.spans = {root, lookup, chunk};
+  Span candidate;
+  candidate.trace_id = 42;
+  candidate.start_ns = 1'000'030'000;
+  candidate.end_ns = 1'000'100'500;
+  candidate.tid = 3;
+  candidate.detail = 2;
+  candidate.stage = Stage::kOptCandidate;
+  trace.spans = {root, lookup, candidate};
 
   const std::string text = to_chrome_json(trace);
   EXPECT_EQ(text.find('\n'), std::string::npos);  // one line for the wire
@@ -218,7 +218,7 @@ TEST(ChromeExport, ProducesSchemaValidTraceEventJson) {
   EXPECT_EQ(events.at(0).at("dur").number, 500.0);    // 500000 ns = 500 us
   EXPECT_EQ(events.at(1).at("name").string, "cache_lookup");
   EXPECT_EQ(events.at(1).at("ts").number, 10.0);
-  EXPECT_EQ(events.at(2).at("name").string, "chunk");
+  EXPECT_EQ(events.at(2).at("name").string, "opt_candidate");
   EXPECT_EQ(events.at(2).at("dur").number, 70.5);     // sub-us precision
   EXPECT_EQ(events.at(2).at("tid").number, 3.0);
 

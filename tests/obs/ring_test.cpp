@@ -14,7 +14,7 @@ namespace lama::obs {
 namespace {
 
 Span make_span(std::uint64_t trace_id, std::uint32_t detail,
-               Stage stage = Stage::kChunk) {
+               Stage stage = Stage::kOptCandidate) {
   Span span;
   span.trace_id = trace_id;
   span.start_ns = 1000 + detail;
@@ -84,7 +84,7 @@ TEST(SpanRing, ConcurrentCollectorNeverObservesTornSpans) {
       span.start_ns = i;
       span.end_ns = static_cast<std::uint64_t>(i) + 0x100000000ULL;
       span.detail = i;
-      span.stage = Stage::kChunk;
+      span.stage = Stage::kOptCandidate;
       ring.push(span);
       ++i;
     }

@@ -91,18 +91,20 @@ TEST(Tracer, ScopedTraceHandsContextToWorkerThreads) {
     EXPECT_EQ(current_trace_id(), 0u);  // fresh thread: no inherited trace
     const ScopedTrace scoped(handle);
     EXPECT_EQ(current_trace_id(), handle.id);
-    const SpanScope chunk(Stage::kChunk, 42);
+    const SpanScope candidate(Stage::kOptCandidate, 42);
   });
   worker.join();
   tracer.end(id, Outcome::kOk);
 
   const auto trace = tracer.recorder().by_id(id);
   ASSERT_TRUE(trace.has_value());
-  bool found_chunk = false;
+  bool found_candidate = false;
   for (const Span& span : trace->spans) {
-    if (span.stage == Stage::kChunk && span.detail == 42) found_chunk = true;
+    if (span.stage == Stage::kOptCandidate && span.detail == 42) {
+      found_candidate = true;
+    }
   }
-  EXPECT_TRUE(found_chunk);
+  EXPECT_TRUE(found_candidate);
 }
 
 TEST(Tracer, EmptyScopedTraceSuspendsRecording) {

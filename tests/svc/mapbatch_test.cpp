@@ -1,6 +1,7 @@
 // MAPBATCH: one line, N jobs, N "JOB <i>" responses plus a trailer —
-// per-job error isolation, coalesced tree builds, the threads= option, and
-// the batch-aware retrying client (only the shed subset is re-sent).
+// per-job error isolation, coalesced tree builds, the rejected threads=
+// option, and the batch-aware retrying client (only the shed subset is
+// re-sent).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -86,15 +87,16 @@ TEST(MapBatch, MalformedJobFailsAloneNotTheBatch) {
 TEST(MapBatch, EveryFlavorOfBadJobIsIsolated) {
   Session s;
   const std::vector<std::string> lines = s.run_lines(
-      "MAPBATCH 5 nosuch/8/lama a0/8/lama:zz a0/8/lama/bogus=1 a0//lama "
-      "a0/8/lama:scbnh");
-  ASSERT_EQ(lines.size(), 6u);
+      "MAPBATCH 6 nosuch/8/lama a0/8/lama:zz a0/8/lama/bogus=1 a0//lama "
+      "a0/8/lama:scbnh a0/8/lama:scbnh/threads=2");
+  ASSERT_EQ(lines.size(), 7u);
   EXPECT_EQ(lines[0].substr(0, 10), "JOB 0 ERR ");  // unknown allocation
   EXPECT_EQ(lines[1].substr(0, 10), "JOB 1 ERR ");  // bad layout letter
   EXPECT_EQ(lines[2].substr(0, 10), "JOB 2 ERR ");  // unknown option
   EXPECT_EQ(lines[3].substr(0, 10), "JOB 3 ERR ");  // empty field
   EXPECT_EQ(lines[4].substr(0, 9), "JOB 4 OK ");
-  EXPECT_EQ(lines[5], "OK mapbatch jobs=5 ok=1 err=4");
+  EXPECT_EQ(lines[5], "JOB 5 ERR parse error: unknown MAP option 'threads'");
+  EXPECT_EQ(lines[6], "OK mapbatch jobs=6 ok=1 err=5");
 }
 
 TEST(MapBatch, CountMismatchRejectsTheWholeLine) {
@@ -118,52 +120,19 @@ TEST(MapBatch, CountersAccountBatchesJobsAndErrors) {
   EXPECT_EQ(c.errors.load(), 0u);
 }
 
-TEST(MapBatch, ThreadsOptionMapsIdenticallyToSequential) {
-  Session sequential;
-  Session parallel;
-  const std::string seq = sequential.run("MAP a0 24 lama:scbnh");
-  const std::string par = parallel.run("MAP a0 24 lama:scbnh threads=4");
-  EXPECT_EQ(seq, par);  // byte-identical response line, cold cache both
-  EXPECT_EQ(parallel.service.counters().parallel_maps.load(), 1u);
-  EXPECT_EQ(sequential.service.counters().parallel_maps.load(), 0u);
-  EXPECT_EQ(seq.substr(0, 3), "OK ");
-}
-
-TEST(MapBatch, ThreadsOptionIsBoundsChecked) {
+TEST(MapBatch, ThreadsOptionIsRejected) {
   Session s;
-  EXPECT_EQ(s.run("MAP a0 8 lama:scbnh threads=65").substr(0, 4), "ERR ");
-  EXPECT_EQ(s.run("MAP a0 8 lama:scbnh threads=64").substr(0, 3), "OK ");
-}
-
-TEST(MapBatch, ServiceMapBatchHonorsMapThreads) {
-  MappingService service({.workers = 0});
-  const InternedAlloc interned = service.intern(figure2_allocation());
-  MapRequest sequential{interned, "lama:scbnh", {.np = 24}};
-  MapRequest parallel = sequential;
-  parallel.map_threads = 4;
-  const std::vector<MapResponse> responses =
-      service.map_batch({sequential, parallel});
-  ASSERT_EQ(responses.size(), 2u);
-  ASSERT_TRUE(responses[0].ok()) << responses[0].error;
-  ASSERT_TRUE(responses[1].ok()) << responses[1].error;
-  ASSERT_EQ(responses[0].mapping.num_procs(),
-            responses[1].mapping.num_procs());
-  for (std::size_t i = 0; i < responses[0].mapping.num_procs(); ++i) {
-    EXPECT_EQ(responses[0].mapping.placements[i].target_pus,
-              responses[1].mapping.placements[i].target_pus);
-    EXPECT_EQ(responses[0].mapping.placements[i].node,
-              responses[1].mapping.placements[i].node);
-  }
-  EXPECT_EQ(service.counters().parallel_maps.load(), 1u);
-  EXPECT_EQ(service.counters().batched.load(), 1u);
-  EXPECT_EQ(service.counters().batch_jobs.load(), 2u);
+  EXPECT_EQ(s.run("MAP a0 8 lama:scbnh threads=4"),
+            "ERR parse error: unknown MAP option 'threads'");
+  // The session survives and still serves.
+  EXPECT_EQ(s.run("MAP a0 8 lama:scbnh").substr(0, 3), "OK ");
 }
 
 TEST(MapBatchClient, FormatsJobsWithSlashSeparators) {
   const std::string line = format_mapbatch(
-      {{"a0", 8, "lama:scbnh", {"threads=2", "oversub=1"}},
+      {{"a0", 8, "lama:scbnh", {"bind=core", "oversub=1"}},
        {"b1", 4, "lama", {}}});
-  EXPECT_EQ(line, "MAPBATCH 2 a0/8/lama:scbnh/threads=2/oversub=1 b1/4/lama");
+  EXPECT_EQ(line, "MAPBATCH 2 a0/8/lama:scbnh/bind=core/oversub=1 b1/4/lama");
 }
 
 TEST(MapBatchClient, RetriesOnlyTheBusySubset) {
@@ -257,7 +226,7 @@ TEST(MapBatch, EndToEndThroughServeLoop) {
     input += "NODE a0 " + std::to_string(alloc.node(i).slots) + " " +
              serialize_topology(alloc.node(i).topo) + "\n";
   }
-  input += "MAPBATCH 2 a0/8/lama:scbnh/threads=2 a0/24/lama:scbnh\nQUIT\n";
+  input += "MAPBATCH 2 a0/8/lama:scbnh a0/24/lama:scbnh\nQUIT\n";
   std::istringstream in(input);
   std::ostringstream out;
   const std::size_t served = serve(in, out, service);

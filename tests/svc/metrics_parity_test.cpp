@@ -65,7 +65,6 @@ const std::vector<std::pair<std::string, std::string>>& parity_pairs() {
       {"remaps", "lama_remaps_total"},
       {"batched", "lama_batched_total"},
       {"batch_jobs", "lama_batch_jobs_total"},
-      {"parallel_maps", "lama_parallel_maps_total"},
       {"plan_hits", "lama_plan_cache_hits_total"},
       {"plan_misses", "lama_plan_cache_misses_total"},
       {"opt_requests", "lama_opt_requests_total"},
@@ -94,12 +93,11 @@ TEST(MetricsParity, EveryCounterAgreesAcrossStatsAndPrometheus) {
   ProtocolSession session(service);
 
   // A workload that moves most counters off zero: cache miss + hit, an
-  // uncached baseline, a batch, a parallel walk, an optimizer miss + hit.
+  // uncached baseline, a batch, an optimizer miss + hit.
   execute(session, "NODE a 8 " + std::string(kFigure2Topo));
   execute(session, "MAP a 4 lama:scbnh");
   execute(session, "MAP a 4 lama:scbnh");
   execute(session, "MAP a 2 byslot");
-  execute(session, "MAP a 8 lama:scbnh threads=4");
   execute(session, "MAPBATCH 2 a/2/lama:scbnh a/4/byslot");
   execute(session, "OPTIMIZE a 12 pattern=halo:65536");
   execute(session, "OPTIMIZE a 12 pattern=halo:65536");
@@ -125,7 +123,6 @@ TEST(MetricsParity, EveryCounterAgreesAcrossStatsAndPrometheus) {
   }
   EXPECT_GT(scalars.at("lama_requests_total"), 0.0);
   EXPECT_GT(scalars.at("lama_opt_hits_total"), 0.0);
-  EXPECT_GT(scalars.at("lama_parallel_maps_total"), 0.0);
 
   // Direction 2a: every exported lama_*_total scalar traces back to a
   // STATS key — a counter cannot exist in the exposition only.

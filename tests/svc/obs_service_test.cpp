@@ -1,9 +1,9 @@
 // Service-level observability tests: the METRICS verb parses with a
 // Prometheus text-format parser, STATS carries the audited key set in both
 // renderings, the TRACE verb returns schema-valid Chrome trace-event JSON,
-// traces capture the pipeline stages (including parallel-walk chunks and
-// MAPBATCH job parenting), and a fault-injected failure always reaches the
-// flight recorder and its dump sink regardless of sampling.
+// traces capture the pipeline stages (including the compiled kernel's plan
+// spans and MAPBATCH job parenting), and a fault-injected failure always
+// reaches the flight recorder and its dump sink regardless of sampling.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -169,12 +169,12 @@ TEST(ObsService, StatsLineCarriesTheAuditedKeys) {
   EXPECT_TRUE(starts_with(stats, "STATS requests=1 completed=1 errors=0"));
   for (const char* key :
        {"uptime_s=", "cache_trees=", "lookup_p50_us=", "lookup_p99_us=",
-        "parallel_map_p99_us=", "traces_started=", "trace_dumps="}) {
+        "traces_started=", "trace_dumps="}) {
     EXPECT_NE(stats.find(key), std::string::npos) << key;
   }
   const std::string rendered = service.render_stats();
   for (const char* needle :
-       {"uptime", "cached trees", "inflight", "tracing", "pmap"}) {
+       {"uptime", "cached trees", "inflight", "tracing"}) {
     EXPECT_NE(rendered.find(needle), std::string::npos) << needle;
   }
 }
@@ -202,20 +202,22 @@ TEST(ObsService, TraceVerbReturnsSchemaValidChromeJson) {
   EXPECT_EQ(by_id->at("otherData").at("trace_id").string, id);
 }
 
-TEST(ObsService, ParallelWalkTracesPerChunkSpans) {
-  // Disable plan compilation: with it on, parallel requests replay compiled
-  // slots and never record chunks. The recording path must keep tracing.
+TEST(ObsService, ReferenceWalkTracesMapAndSweepSpans) {
+  // With plan compilation off every lama MAP runs the reference walk; it
+  // must trace the walk and its sweeps, and no compiled-kernel stage.
   ServiceConfig config = traced_config();
   config.compile_plans = false;
   MappingService service(config);
   ProtocolSession session(service);
   execute(session, node_line("a"));
-  execute(session, "MAP a 8 lama:scbnh threads=4");
+  execute(session, "MAP a 8 lama:scbnh");
 
   const auto json = parse_trace_response(execute(session, "TRACE last"));
   const std::set<std::string> names = event_names(*json);
-  EXPECT_TRUE(names.count("chunk"));
-  EXPECT_TRUE(names.count("assemble"));
+  EXPECT_TRUE(names.count("map_walk"));
+  EXPECT_TRUE(names.count("sweep"));
+  EXPECT_FALSE(names.count("plan_compile"));
+  EXPECT_FALSE(names.count("plan_exec"));
 }
 
 TEST(ObsService, CompiledWalkTracesPlanSpans) {
@@ -223,21 +225,19 @@ TEST(ObsService, CompiledWalkTracesPlanSpans) {
   ProtocolSession session(service);
   execute(session, node_line("a"));
   // First request: plan miss — the compile itself is a traced stage.
-  execute(session, "MAP a 8 lama:scbnh threads=4");
+  execute(session, "MAP a 8 lama:scbnh");
   const auto miss = parse_trace_response(execute(session, "TRACE last"));
   const std::set<std::string> miss_names = event_names(*miss);
   EXPECT_TRUE(miss_names.count("plan_compile"));
   EXPECT_TRUE(miss_names.count("plan_exec"));
-  EXPECT_TRUE(miss_names.count("assemble"));
   EXPECT_TRUE(miss_names.count("map_walk"));
 
-  // Warm request: plan hit — executes without compiling (or recording).
-  execute(session, "MAP a 8 lama:scbnh threads=4");
+  // Warm request: plan hit — executes without compiling.
+  execute(session, "MAP a 8 lama:scbnh");
   const auto hit = parse_trace_response(execute(session, "TRACE last"));
   const std::set<std::string> hit_names = event_names(*hit);
   EXPECT_TRUE(hit_names.count("plan_exec"));
   EXPECT_FALSE(hit_names.count("plan_compile"));
-  EXPECT_FALSE(hit_names.count("chunk"));
 }
 
 TEST(ObsService, MapBatchParentsJobTraces) {
@@ -312,7 +312,7 @@ TEST(ObsService, StageHistogramsExportAsValidPrometheusHistograms) {
   execute(session, node_line("a"));
   execute(session, "MAP a 4 lama:scbnh bind=core");
   execute(session, "MAP a 4 lama:scbnh bind=core");  // cache hit path
-  execute(session, "MAP a 8 lama:scbnh threads=4");  // parallel walk
+  execute(session, "MAP a 8 lama:scbnh");  // a second np, same plan
 
   const std::string exposition = execute(session, "METRICS");
   const std::vector<test::PromSample> samples =

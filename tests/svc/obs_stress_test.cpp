@@ -1,12 +1,12 @@
 // Concurrency stress for the observability layer: mixed good/bad traffic,
-// MAPBATCH rounds on the worker pool, parallel-walk requests, and a chaos
-// thread corrupting cached trees — all with tracing ON and sampling 1/1 so
-// every request assembles a trace, while an observer thread concurrently
-// reads metrics snapshots and flight-recorder traces (collectors racing the
-// lock-free ring pushers). Pins the exactly-once invariants under load:
-// one trace begun and assembled per request, one failure dump per failed or
-// degraded request, and the counter identities the non-traced stress suite
-// already certifies — now with the instrumentation in the loop. Run under
+// MAPBATCH rounds on the worker pool, and a chaos thread corrupting cached
+// trees — all with tracing ON and sampling 1/1 so every request assembles
+// a trace, while an observer thread concurrently reads metrics snapshots
+// and flight-recorder traces (collectors racing the lock-free ring
+// pushers). Pins the exactly-once invariants under load: one trace begun
+// and assembled per request, one failure dump per failed or degraded
+// request, and the counter identities the non-traced stress suite already
+// certifies — now with the instrumentation in the loop. Run under
 // LAMA_SANITIZE=thread to certify the seqlock rings and trace handoff.
 #include <gtest/gtest.h>
 
@@ -79,7 +79,6 @@ TEST(ObsStress, ExactlyOnceTracingUnderMixedFaultTraffic) {
         const std::uint64_t pick = rng.next_below(100);
         MapRequest request{interned, "lama", {.np = 1 + rng.next_below(16)}};
         request.spec = "lama:" + layouts[rng.next_below(layouts.size())];
-        if (pick >= 80) request.map_threads = 2;  // traced parallel walk
         bool expect_ok = true;
         if (pick < 10) {
           request.spec = "nosuch";  // uncached-path failure

@@ -221,12 +221,13 @@ TEST(OptimizeProtocol, RejectsMalformedRequests) {
           "OPTIMIZE a 99999 pattern=halo\n"                  // above kMaxOptNp
           "OPTIMIZE nope 12 pattern=halo\n"                  // unknown alloc
           "OPTIMIZE a 12 pattern=halo frobnicate=1\n"        // unknown option
+          "OPTIMIZE a 12 pattern=halo threads=65\n"          // above kMaxOptThreads
           "OPTIMIZE a 4 matrix=2\n"
           "row 0 0 1 2\n"                                    // non-square row
           "0 1 10\n" +
           "STATS\n",
       service);
-  ASSERT_EQ(lines.size(), 10u);
+  ASSERT_EQ(lines.size(), 11u);
   for (std::size_t i = 1; i + 1 < lines.size(); ++i) {
     EXPECT_TRUE(starts_with(lines[i], "ERR ")) << i << ": " << lines[i];
   }

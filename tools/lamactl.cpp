@@ -479,8 +479,6 @@ int run_mapbatch(const std::vector<std::string>& args) {
       options.push_back("bind=" + need_value());
     } else if (arg == "--npernode") {
       options.push_back("npernode=" + need_value());
-    } else if (arg == "--threads") {
-      options.push_back("threads=" + need_value());
     } else if (arg == "--oversubscribe") {
       options.push_back("oversub=1");
     } else if (arg == "--no-oversubscribe") {
@@ -1880,8 +1878,8 @@ int main(int argc, char** argv) {
         "               [--connect <addr> [--binary]]  # against a --listen\n"
         "               # server, reconnecting with capped backoff\n"
         "       lamactl mapbatch --cluster <file> -np N[,N...]\n"
-        "               [--map-by <spec>] [--threads N] [--bind-to <level>]\n"
-        "               [--npernode N] [--timeout-ms N] [--id <name>]\n"
+        "               [--map-by <spec>] [--bind-to <level>] [--npernode N]\n"
+        "               [--timeout-ms N] [--id <name>]\n"
         "               [--stats] [--exec [--retries N] [--backoff-ms N]\n"
         "                [--max-inflight N]]  # one MAPBATCH, a job per np\n"
         "               [--connect <addr> [--binary]]\n"
