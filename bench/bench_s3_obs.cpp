@@ -1,9 +1,10 @@
-// S3 — the cost of observability on the hot path. The tracing design
-// claims the warm-cache request path pays almost nothing for
-// instrumentation: span recording is one TLS read when no trace is active,
-// and with 1/64 head-based sampling only every 64th request assembles a
-// trace. This benchmark prices that claim directly: the identical
-// warm-cache request stream runs against three service configurations —
+// S3 — the cost of tracing on the hot path. Every request records its
+// stage latency histograms whether or not a tracer exists, so all three
+// modes below pay for those; they differ only in trace assembly. With
+// 1/64 head-based sampling only every 64th request pushes its spans to the
+// rings and assembles a trace. This benchmark prices that claim directly:
+// the identical warm-cache request stream runs against three service
+// configurations —
 //   off      - no flight recorder (tracer never constructed)
 //   sampled  - flight recorder on, trace_sample=64 (the serving default)
 //   always   - trace_sample=1 (every request assembles and is retained)

@@ -62,7 +62,6 @@ struct PlanBuilder {
       ++pos;
       return;
     }
-    plan.avail[pos >> 6] |= std::uint64_t{1} << (pos & 63);
     plan.slots.push_back(
         {&target->available_pus(), pos, nc_flat, pending_skips,
          static_cast<std::uint32_t>(node),
@@ -150,7 +149,6 @@ MapPlan compile_map_plan(const MaximalTree& mtree, const ProcessLayout& layout,
 
   plan.num_nodes = mtree.num_nodes();
   plan.online_capacity = mtree.online_pu_capacity();
-  plan.avail.assign((plan.space + 63) / 64, 0);
 
   PlanBuilder(mtree, plan).run();
   return plan;

@@ -9,7 +9,6 @@
 //   * the iteration space as a mixed-radix odometer (per-level visit orders,
 //     extents, and strides, innermost stride 1), so a flat visit position P
 //     in [0, space) enumerates the walk in exact sequential order;
-//   * availability folded into a dense bitset over P;
 //   * one Slot per viable coordinate, in walk order, carrying the resolved
 //     pruned vertex's PU set, the target node, the skip gap since the
 //     previous viable coordinate, and a dense containment-ordered coordinate
@@ -94,16 +93,12 @@ struct MapPlan {
 
   // --- the compiled walk --------------------------------------------------
   std::vector<Slot> slots;               // every viable coordinate, in order
-  std::vector<std::uint64_t> avail;      // bitset over flat positions
   // Nonexistent/unavailable coordinates after the last slot (the whole
   // space when there is no slot). With every slot's skips_before they
   // account for the full space: sum(skips_before) + slots.size() +
   // trailing_skips == space.
   std::uint64_t trailing_skips = 0;
 
-  [[nodiscard]] bool avail_bit(std::uint64_t p) const {
-    return (avail[p >> 6] >> (p & 63)) & 1u;
-  }
   // Cap-state entries level j needs: one per (node, prefix coordinate).
   [[nodiscard]] std::size_t cap_slots(std::size_t j) const {
     return num_nodes * static_cast<std::size_t>(nc_prefix[j]);

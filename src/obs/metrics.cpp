@@ -23,6 +23,19 @@ std::string format_value(double value) {
 
 }  // namespace
 
+double bucket_quantile(
+    const std::vector<std::pair<double, double>>& cumulative, double q) {
+  if (cumulative.empty() || cumulative.back().second <= 0.0) return 0.0;
+  const double rank = q * cumulative.back().second;
+  double finite = 0.0;
+  for (const auto& [le, count] : cumulative) {
+    if (std::isinf(le)) break;
+    finite = le;
+    if (count >= rank) break;
+  }
+  return finite;
+}
+
 std::string prometheus_escape(const std::string& value) {
   std::string out;
   out.reserve(value.size());

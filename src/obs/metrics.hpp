@@ -54,6 +54,15 @@ struct MetricsSnapshot {
   [[nodiscard]] std::string to_json() const;
 };
 
+// Nearest-rank quantile (q in [0, 1]) of a histogram given as cumulative
+// (upper bound, count) buckets in ascending order, the last one holding the
+// total — the shape of a Prometheus histogram's `_bucket` series. Returns
+// the upper bound of the first bucket whose count reaches q × total (an
+// infinite bound reads as the largest finite one); 0 when empty. The one
+// quantile rule every latency figure (STATS, `lamactl top`) uses.
+double bucket_quantile(
+    const std::vector<std::pair<double, double>>& cumulative, double q);
+
 // Escapes for the two formats (exposed for tests).
 std::string prometheus_escape(const std::string& value);
 std::string json_escape(const std::string& value);

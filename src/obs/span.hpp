@@ -17,7 +17,7 @@ namespace lama::obs {
 enum class Stage : std::uint8_t {
   kRequest = 0,    // the whole request, admission to reply
   kParse,          // protocol line -> MapRequest
-  kLookup,         // tree-cache probe (covers build/wait on a miss)
+  kLookup,         // tree-cache shard probe (a miss's build/wait follow)
   kBuild,          // maximal-tree construction
   kCoalesceWait,   // waited on another request's in-flight build
   kMap,            // the mapping walk (reference or compiled)

@@ -28,12 +28,4 @@ StageStats::Exemplar StageStats::exemplar(Stage stage,
   return ex;
 }
 
-void StageStats::reset() {
-  for (PerStage& per : stages_) {
-    per.hist.reset();
-    for (auto& t : per.exemplar_trace) t.store(0, std::memory_order_relaxed);
-    for (auto& n : per.exemplar_ns) n.store(0, std::memory_order_relaxed);
-  }
-}
-
 }  // namespace lama::obs

@@ -1,9 +1,10 @@
-// Per-stage latency distributions for the live telemetry plane: one
-// LatencyHistogram per trace stage, updated wait-free at span end, plus a
-// per-(stage, bucket) exemplar slot remembering the slowest recent sample's
-// trace id. The exemplars are what make the histograms actionable: a p99
-// bucket in the Prometheus exposition links straight to a TRACE id the
-// flight recorder can expand.
+// Per-stage latency distributions: one LatencyHistogram per trace stage,
+// updated wait-free at every span end of every request, plus a
+// per-(stage, bucket) exemplar slot remembering the slowest recent sampled
+// trace's id. These histograms are the service's only latency record —
+// STATS, METRICS, WATCH and `lamactl top` all read them. The exemplars are
+// what make them actionable: a p99 bucket in the Prometheus exposition
+// links straight to a TRACE id the flight recorder can expand.
 //
 // Exemplar slots are a pair of relaxed atomics (trace id, ns). A racing
 // writer can momentarily pair one sample's id with another's ns; both values
@@ -39,8 +40,6 @@ class StageStats {
   }
 
   [[nodiscard]] Exemplar exemplar(Stage stage, std::size_t bucket) const;
-
-  void reset();
 
  private:
   struct PerStage {

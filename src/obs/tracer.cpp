@@ -37,23 +37,26 @@ ScopedParent::ScopedParent(std::uint64_t parent_id)
 ScopedParent::~ScopedParent() { t_pending_parent = saved_; }
 
 std::uint64_t span_begin() {
-  return t_ctx.id == 0 || !t_ctx.record ? 0 : monotonic_ns();
+  return t_ctx.stats != nullptr || t_ctx.record ? monotonic_ns() : 0;
 }
 
 void span_end(Stage stage, std::uint32_t detail, std::uint64_t start_ns) {
-  if (start_ns == 0 || t_ctx.id == 0) return;
+  if (start_ns == 0) return;
+  const std::uint64_t end_ns = monotonic_ns();
+  // Stage latency histogram, wait-free, on every request. The exemplar and
+  // the ring push are for sampled traces only, so every exemplar id belongs
+  // to a trace the tracer will assemble.
+  const std::uint64_t exemplar = t_ctx.record ? t_ctx.id : 0;
+  if (t_ctx.stats != nullptr) {
+    t_ctx.stats->record(stage, end_ns - start_ns, exemplar);
+  }
+  if (exemplar == 0) return;
   Span span;
-  span.trace_id = t_ctx.id;
+  span.trace_id = exemplar;
   span.start_ns = start_ns;
-  span.end_ns = monotonic_ns();
+  span.end_ns = end_ns;
   span.detail = detail;
   span.stage = stage;
-  // Stage latency histogram + exemplar, wait-free. Only sampled traces get
-  // here (span_begin returned non-zero), so the exemplar's trace id always
-  // belongs to a trace the tracer will assemble.
-  if (t_ctx.stats != nullptr) {
-    t_ctx.stats->record(stage, span.end_ns - span.start_ns, span.trace_id);
-  }
   SpanRing& ring = RingRegistry::instance().local_ring(span.tid);
   ring.push(span);
 }
@@ -68,13 +71,12 @@ std::uint64_t Tracer::begin(bool transport) {
   t_ctx.parent = t_pending_parent;
   t_pending_parent = 0;  // consumed by this begin
   t_ctx.begin_ns = monotonic_ns();
-  t_ctx.stats = &stage_stats_;
   t_ctx.transport = transport;
-  // The head-based sampling decision: an unsampled trace skips all span
-  // recording (span_begin returns 0 — no clock reads, no ring pushes), so
-  // the default 1/64 rate keeps the warm path within its overhead budget.
-  // A failed unsampled request still assembles at end() with its
-  // synthesized root span carrying id, outcome, and duration.
+  // The head-based sampling decision: an unsampled trace pushes no spans to
+  // the rings (its stages still reach the stats sink), so the default 1/64
+  // rate keeps trace assembly within its overhead budget. A failed
+  // unsampled request still assembles at end() with its synthesized root
+  // span carrying id, outcome, and duration.
   t_ctx.record = sampled(id);
   started_.fetch_add(1, std::memory_order_relaxed);
   return id;
@@ -111,18 +113,14 @@ Tracer::End Tracer::end(std::uint64_t id, Outcome outcome) {
   const TraceHandle handle = t_ctx;
   if (handle.id == id) t_ctx = TraceHandle{};
   const std::uint64_t end_ns = monotonic_ns();
-  const std::uint64_t duration =
-      end_ns > handle.begin_ns ? end_ns - handle.begin_ns : 0;
+  result.duration_ns = end_ns > handle.begin_ns ? end_ns - handle.begin_ns : 0;
   // Transport traces (socket accept, one readable event) are connection
-  // plumbing: they neither feed the request-stage histogram nor the tail
-  // gate's duration estimate — a flood of µs-scale readable events must
-  // not drag the estimate down and spuriously capture normal requests.
+  // plumbing: they do not feed the tail gate's duration estimate — a flood
+  // of µs-scale readable events must not drag the estimate down and
+  // spuriously capture normal requests.
   const bool request = !handle.transport || handle.id != id;
-  result.slow = !result.failure && request && tail_gate(duration);
+  result.slow = !result.failure && request && tail_gate(result.duration_ns);
   const bool assemble = result.failure || result.slow || sampled(id);
-  // The whole-request histogram sees every traced request; the exemplar
-  // only assembled ones, so exported exemplar ids resolve via TRACE.
-  if (request) stage_stats_.record(Stage::kRequest, duration, assemble ? id : 0);
   if (!assemble) return result;
   if (result.slow) {
     tail_captured_.fetch_add(1, std::memory_order_relaxed);
@@ -168,14 +166,33 @@ bool Tracer::sampled(std::uint64_t id) const {
   return h % n == 0;
 }
 
-TraceScope::TraceScope(Tracer* tracer, bool transport) : tracer_(tracer) {
-  if (tracer_ != nullptr && current_trace_id() == 0) {
+TraceScope::TraceScope(StageStats* stats, Tracer* tracer, bool transport)
+    : stats_(stats), tracer_(tracer), saved_(t_ctx), transport_(transport) {
+  if (t_ctx.begin_ns != 0) return;  // nested: the outer scope owns the root
+  opened_ = true;
+  if (tracer_ != nullptr) {
     id_ = tracer_->begin(transport);
+  } else {
+    t_ctx.begin_ns = monotonic_ns();
   }
+  t_ctx.stats = stats_;
 }
 
 TraceScope::~TraceScope() {
-  if (id_ != 0) tracer_->end(id_, outcome_);
+  if (!opened_) return;
+  const bool root = !transport_ && stats_ != nullptr;
+  if (id_ != 0) {
+    const Tracer::End end = tracer_->end(id_, outcome_);
+    // Only assembled traces leave exemplars, so exported ids resolve via
+    // TRACE.
+    if (root) {
+      stats_->record(Stage::kRequest, end.duration_ns,
+                     end.assembled ? id_ : 0);
+    }
+  } else if (root) {
+    stats_->record(Stage::kRequest, monotonic_ns() - t_ctx.begin_ns, 0);
+  }
+  t_ctx = saved_;
 }
 
 }  // namespace lama::obs

@@ -6,8 +6,12 @@
 // thins the healthy traffic.
 //
 // Recording is free-function based (`span_begin` / `span_end` / SpanScope)
-// so the lama mapping layers can emit spans without a tracer reference:
-// when no trace is active on the thread the calls are a branch and return.
+// so the lama mapping layers can emit spans without a tracer reference.
+// Every span ends in the thread's stage-latency sink (a StageStats the
+// service installs at each request scope, with or without a tracer); only
+// spans of sampled traces are also pushed to the rings for assembly. With
+// neither a sink nor a sampled trace on the thread the calls are a branch
+// and return.
 #pragma once
 
 #include <atomic>
@@ -22,23 +26,24 @@ namespace lama::obs {
 
 // ---- Thread-local trace context -------------------------------------------
 
-// The identity of a trace active on some thread, for handoff: capture with
+// The request context active on some thread, for handoff: capture with
 // current_trace() before spawning a worker, install in the worker with
-// ScopedTrace. A default-constructed handle is "no trace" and installing it
-// suspends tracing on the thread (used to detach inline batch jobs from the
-// batch trace).
+// ScopedTrace. A default-constructed handle is "no request, no trace" and
+// installing it suspends recording on the thread (used to detach inline
+// batch jobs from the batch's scope).
 struct TraceHandle {
-  std::uint64_t id = 0;
+  std::uint64_t id = 0;      // trace id, 0 when no tracer traces the request
   std::uint64_t parent = 0;
+  // When the open request scope began; 0 when none is open on the thread.
   std::uint64_t begin_ns = 0;
-  // The owning tracer's per-stage histograms, so span_end can record stage
-  // latency without a tracer reference. Travels with the handoff: worker
-  // threads feed the same stats as the thread that began the trace.
+  // The service's per-stage histograms: every span_end records here. Travels
+  // with the handoff, so worker threads feed the same stats as the thread
+  // that opened the request.
   StageStats* stats = nullptr;
-  // Head-based sampling decision made at begin(): when false, span
-  // recording is suppressed for the whole trace (span_begin returns 0).
-  // An unsampled failure still assembles with just its root span.
-  bool record = true;
+  // Head-based sampling decision made at begin(): only a sampled trace's
+  // spans reach the rings and leave exemplars. An unsampled failure still
+  // assembles with just its root span.
+  bool record = false;
   // A transport-level trace (socket accept, one readable event): its root
   // duration is connection plumbing, not a request, so it stays out of the
   // request-stage histogram and the tail gate's duration estimate.
@@ -79,10 +84,9 @@ class ScopedParent {
 
 // ---- Span recording --------------------------------------------------------
 
-// Start timestamp for a span, or 0 when no trace is active on this thread
-// or the active trace is unsampled (the matching span_end with
-// start_ns == 0 is a no-op, so instrumentation costs one TLS read when
-// tracing is off and on un-sampled requests alike).
+// Start timestamp for a span, or 0 when the thread has neither a stats sink
+// nor a sampled trace (the matching span_end with start_ns == 0 is a no-op,
+// so a span outside any service costs one TLS read and no clock read).
 [[nodiscard]] std::uint64_t span_begin();
 void span_end(Stage stage, std::uint32_t detail, std::uint64_t start_ns);
 
@@ -141,6 +145,7 @@ class Tracer {
     // The tail gate fired: the request succeeded but ran slower than the
     // decayed p99 estimate and was captured as Outcome::kSlow.
     bool slow = false;
+    std::uint64_t duration_ns = 0;  // begin() to end()
   };
 
   // Ends the trace: uninstalls the thread context and — when the outcome is
@@ -170,9 +175,6 @@ class Tracer {
     return tail_threshold_ns_.load(std::memory_order_relaxed);
   }
 
-  [[nodiscard]] StageStats& stage_stats() { return stage_stats_; }
-  [[nodiscard]] const StageStats& stage_stats() const { return stage_stats_; }
-
  private:
   // Updates the decayed p99 estimate with one request duration and reports
   // whether the tail gate fires for it.
@@ -180,7 +182,6 @@ class Tracer {
 
   TracerConfig config_;
   FlightRecorder recorder_;
-  StageStats stage_stats_;
   std::atomic<std::uint64_t> started_{0};
   std::atomic<std::uint64_t> assembled_{0};
   std::atomic<std::uint64_t> tail_captured_{0};
@@ -188,14 +189,18 @@ class Tracer {
   std::atomic<std::uint64_t> tail_warmup_{0};
 };
 
-// Begins a trace on construction if (a) a tracer is given and (b) no trace
-// is already active on this thread — a MAPBATCH job traced by the protocol
-// layer must not start a second trace inside MappingService::map. The
-// outcome defaults to kError so an exception unwinding through the scope
-// records a failure; success paths overwrite it via set_outcome.
+// A request scope. It opens only when no request scope is open on this
+// thread — a protocol MAP line must not count a second request inside
+// MappingService::map. Opening installs `stats` as the thread's span sink
+// and, when a tracer is given, begins a trace; closing records the
+// `request` root into `stats` (transport scopes excepted: connection
+// plumbing is not a request), ends the trace, and restores the thread's
+// previous context. The outcome defaults to kError so an exception
+// unwinding through the scope records a failure; success paths overwrite
+// it via set_outcome.
 class TraceScope {
  public:
-  explicit TraceScope(Tracer* tracer, bool transport = false);
+  TraceScope(StageStats* stats, Tracer* tracer, bool transport = false);
   ~TraceScope();
   TraceScope(const TraceScope&) = delete;
   TraceScope& operator=(const TraceScope&) = delete;
@@ -205,7 +210,11 @@ class TraceScope {
   [[nodiscard]] std::uint64_t id() const { return id_; }
 
  private:
+  StageStats* stats_;
   Tracer* tracer_;
+  TraceHandle saved_;
+  bool opened_ = false;
+  bool transport_;
   std::uint64_t id_ = 0;
   Outcome outcome_ = Outcome::kError;
 };

@@ -1,7 +1,6 @@
 #include "support/histogram.hpp"
 
 #include <bit>
-#include <cstdio>
 
 namespace lama {
 
@@ -9,106 +8,17 @@ void LatencyHistogram::record_ns(std::uint64_t ns) {
   std::size_t idx = std::bit_width(ns);  // 0 -> 0, [2^(i-1), 2^i) -> i
   if (idx >= kNumBuckets) idx = kNumBuckets - 1;
   buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(ns, std::memory_order_relaxed);
-  std::uint64_t seen = max_.load(std::memory_order_relaxed);
-  while (ns > seen &&
-         !max_.compare_exchange_weak(seen, ns, std::memory_order_relaxed)) {
-  }
 }
 
 LatencyHistogram::Snapshot LatencyHistogram::snapshot() const {
   Snapshot snap;
   for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    snap.buckets[i] = bucket(i);
+    snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
     snap.count += snap.buckets[i];
   }
-  snap.sum_ns = sum_ns();
-  snap.max_ns = max_ns();
+  snap.sum_ns = sum_.load(std::memory_order_relaxed);
   return snap;
-}
-
-void LatencyHistogram::merge(const LatencyHistogram& other) {
-  merge(other.snapshot());
-}
-
-void LatencyHistogram::merge(const Snapshot& other) {
-  for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    if (other.buckets[i] != 0) {
-      buckets_[i].fetch_add(other.buckets[i], std::memory_order_relaxed);
-    }
-  }
-  count_.fetch_add(other.count, std::memory_order_relaxed);
-  sum_.fetch_add(other.sum_ns, std::memory_order_relaxed);
-  std::uint64_t seen = max_.load(std::memory_order_relaxed);
-  while (other.max_ns > seen &&
-         !max_.compare_exchange_weak(seen, other.max_ns,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-double LatencyHistogram::Snapshot::mean_ns() const {
-  return count == 0
-             ? 0.0
-             : static_cast<double>(sum_ns) / static_cast<double>(count);
-}
-
-std::uint64_t LatencyHistogram::Snapshot::percentile_ns(double p) const {
-  if (count == 0) return 0;
-  if (p < 0) p = 0;
-  if (p > 100) p = 100;
-  // Rank of the percentile sample (1-based, nearest-rank definition).
-  std::uint64_t rank =
-      static_cast<std::uint64_t>(p / 100.0 * static_cast<double>(count));
-  if (rank == 0) rank = 1;
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    seen += buckets[i];
-    if (seen >= rank) return bucket_bound_ns(i);
-  }
-  return max_ns;
-}
-
-double LatencyHistogram::mean_ns() const {
-  const std::uint64_t n = count();
-  return n == 0 ? 0.0 : static_cast<double>(sum_ns()) / static_cast<double>(n);
-}
-
-std::uint64_t LatencyHistogram::percentile_ns(double p) const {
-  return snapshot().percentile_ns(p);
-}
-
-void LatencyHistogram::Snapshot::merge(const Snapshot& other) {
-  for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    buckets[i] += other.buckets[i];
-  }
-  count += other.count;
-  sum_ns += other.sum_ns;
-  if (other.max_ns > max_ns) max_ns = other.max_ns;
-}
-
-std::string LatencyHistogram::Snapshot::summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "count=%llu mean_us=%.1f p50_us=%llu p99_us=%llu max_us=%llu",
-                static_cast<unsigned long long>(count), mean_ns() / 1e3,
-                static_cast<unsigned long long>(percentile_ns(50) / 1000),
-                static_cast<unsigned long long>(percentile_ns(99) / 1000),
-                static_cast<unsigned long long>(max_ns / 1000));
-  return buf;
-}
-
-std::string LatencyHistogram::summary() const {
-  // One snapshot feeds every figure so the line is internally consistent
-  // even while writers are racing record_ns().
-  return snapshot().summary();
-}
-
-void LatencyHistogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace lama

@@ -8,7 +8,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 namespace lama {
 
@@ -18,27 +17,14 @@ class LatencyHistogram {
   // 2^40 ns ≈ 18 minutes — anything slower saturates into the last bucket.
   static constexpr std::size_t kNumBuckets = 41;
 
-  // One consistent read of the whole histogram: every accessor that walks
-  // buckets against the total (percentiles, summaries, Prometheus buckets)
-  // should go through a Snapshot so concurrent record_ns() calls between
-  // field loads cannot skew the result. count is recomputed from the bucket
-  // array so `count == Σ buckets` holds by construction.
+  // One read of the whole histogram. count is recomputed from the bucket
+  // array so `count == Σ buckets` holds by construction even while
+  // record_ns() races the read.
   struct Snapshot {
     std::array<std::uint64_t, kNumBuckets> buckets{};
     std::uint64_t count = 0;
     std::uint64_t sum_ns = 0;
-    std::uint64_t max_ns = 0;
 
-    [[nodiscard]] double mean_ns() const;
-    // Upper bound (ns) of the bucket holding the p-th percentile sample,
-    // p in [0, 100]. 0 when the snapshot is empty.
-    [[nodiscard]] std::uint64_t percentile_ns(double p) const;
-    // Accumulate another snapshot (bucket-wise adds, max of maxes) — the
-    // copyable counterpart of LatencyHistogram::merge, used to fold
-    // per-shard snapshots into one aggregate.
-    void merge(const Snapshot& other);
-    // Same "count=... mean_us=..." line LatencyHistogram::summary() emits.
-    [[nodiscard]] std::string summary() const;
     // Inclusive upper bound (ns) of bucket i: 0, 1, 3, 7, ... 2^i - 1.
     [[nodiscard]] static std::uint64_t bucket_bound_ns(std::size_t i) {
       return i == 0 ? 0 : (1ULL << i) - 1;
@@ -49,41 +35,9 @@ class LatencyHistogram {
 
   [[nodiscard]] Snapshot snapshot() const;
 
-  // Accumulate another histogram's counts into this one (bucket-wise adds,
-  // max of maxes). Used to fold per-shard / per-stage histograms into one
-  // aggregate series without losing distribution shape.
-  void merge(const LatencyHistogram& other);
-  void merge(const Snapshot& other);
-
-  [[nodiscard]] std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t sum_ns() const {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t max_ns() const {
-    return max_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double mean_ns() const;
-
-  // Upper bound (ns) of the bucket holding the p-th percentile sample,
-  // p in [0, 100]. 0 when the histogram is empty.
-  [[nodiscard]] std::uint64_t percentile_ns(double p) const;
-
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-
-  // "count=182 mean_us=12.4 p50_us=8 p99_us=131 max_us=204"
-  [[nodiscard]] std::string summary() const;
-
-  void reset();
-
  private:
   std::array<std::atomic<std::uint64_t>, kNumBuckets> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
-  std::atomic<std::uint64_t> max_{0};
 };
 
 }  // namespace lama

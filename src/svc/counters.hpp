@@ -1,6 +1,8 @@
 // Request metrics for the mapping service. All counters are monotonic
-// atomics updated wait-free from worker threads; the histograms bucket
-// per-stage latencies (cache lookup, tree build, mapping walk, end-to-end).
+// atomics updated wait-free from worker threads. Latencies are not kept
+// here: every stage is timed once, by its span, into the service's
+// obs::StageStats, and MappingService::metrics_snapshot() is the one place
+// that reads these counters for export (STATS, METRICS, WATCH).
 // Two invariants the stress and fault-injection suites pin down:
 //   * for every request that consults the tree cache, exactly one of
 //     cache_hits / cache_misses / coalesced is incremented — the three sum
@@ -12,9 +14,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
-
-#include "support/histogram.hpp"
 
 namespace lama::svc {
 
@@ -63,26 +62,13 @@ struct Counters {
   // policy) increment neither and fall back to the reference walk.
   std::atomic<std::uint64_t> plan_hits{0};    // compiled plan from the LRU
   std::atomic<std::uint64_t> plan_misses{0};  // this request compiled it
-
-  // Per-stage latencies.
-  LatencyHistogram lookup_ns;  // cache probe, excluding build/wait
-  LatencyHistogram build_ns;   // maximal-tree construction on a miss
-  LatencyHistogram map_ns;     // the mapping walk itself
-  LatencyHistogram plan_compile_ns;  // compiling a MapPlan on a plan miss
-  LatencyHistogram compiled_map_ns;  // walks executed from a compiled plan
-  LatencyHistogram opt_ns;     // placement searches run by OPTIMIZE misses
-  LatencyHistogram total_ns;   // end-to-end per request
-
-  // One "key=value" line for the wire protocol's STATS response.
-  [[nodiscard]] std::string stats_line() const;
-
-  // Multi-line human-readable rendering (lamactl serve --stats).
-  [[nodiscard]] std::string render() const;
 };
 
 // Transport metrics for the epoll server (svc/event_loop.hpp). Written by
 // the event-loop thread, read by STATS/METRICS from any thread, so every
-// field is a relaxed atomic. The soak suite pins the exactly-once pairing:
+// field is a relaxed atomic. The transport stages (accept, read, frame,
+// dispatch, write) are timed into the service's obs::StageStats, shared by
+// every shard. The soak suite pins the exactly-once pairing:
 // every request that reaches a connection handler counts in exactly one of
 // text_requests / binary_requests and appends exactly one response (normal
 // or backpressure-shed), so requests == responses whenever the loop is
@@ -102,56 +88,8 @@ struct NetCounters {
   std::atomic<std::uint64_t> bytes_in{0};
   std::atomic<std::uint64_t> bytes_out{0};
 
-  LatencyHistogram read_ns;      // one drain of a readable socket
-  LatencyHistogram dispatch_ns;  // one command through the protocol session
-  LatencyHistogram write_ns;     // one flush attempt of a write buffer
-
   // Connections currently open (derived, never negative while quiescent).
   [[nodiscard]] std::uint64_t active() const;
-
-  // "net_key=value ..." tail for the STATS line (append-only keys).
-  [[nodiscard]] std::string stats_line() const;
-
-  // Human-readable rendering (lamactl serve --stats).
-  [[nodiscard]] std::string render() const;
-};
-
-// One plain-value aggregate over any number of shards' NetCounters. The
-// sharded server (svc/shard_server.hpp) runs one NetCounters per epoll
-// shard so the hot path never shares cache lines across threads; STATS and
-// METRICS fold the shards through this struct, and the single-shard
-// renderings delegate here too, so aggregate output is byte-identical
-// whether one server or eight produced the numbers.
-struct NetStats {
-  std::uint64_t accepted = 0;
-  std::uint64_t closed = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t text_requests = 0;
-  std::uint64_t binary_requests = 0;
-  std::uint64_t responses = 0;
-  std::uint64_t shed_backpressure = 0;
-  std::uint64_t frame_errors = 0;
-  std::uint64_t midstream_disconnects = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-
-  LatencyHistogram::Snapshot read_ns;
-  LatencyHistogram::Snapshot dispatch_ns;
-  LatencyHistogram::Snapshot write_ns;
-
-  // Folds one shard's counters in (relaxed loads, histogram snapshots).
-  void add(const NetCounters& shard);
-
-  [[nodiscard]] std::uint64_t requests() const {
-    return text_requests + binary_requests;
-  }
-  [[nodiscard]] std::uint64_t active() const {
-    return accepted >= closed ? accepted - closed : 0;
-  }
-
-  // Same keys/format as NetCounters::stats_line / render.
-  [[nodiscard]] std::string stats_line() const;
-  [[nodiscard]] std::string render() const;
 };
 
 }  // namespace lama::svc

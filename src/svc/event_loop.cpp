@@ -280,6 +280,12 @@ std::size_t EventLoopServer::run(const std::function<bool()>& stop) {
       ::pthread_setaffinity_np(::pthread_self(), sizeof(set), &set);
     }
   }
+  // The loop's transport stages (read, frame, dispatch, write, accept) time
+  // into the service's stage histograms wherever the loop runs them: inside
+  // a readable event, on EPOLLOUT, from a WATCH tick, or in the drain.
+  obs::TraceHandle sink;
+  sink.stats = &service_.stage_stats();
+  const obs::ScopedTrace scoped_sink(sink);
   epoll_event events[64];
   while (!stop_requested_.load(std::memory_order_acquire) &&
          !(stop && stop())) {
@@ -346,7 +352,8 @@ void EventLoopServer::accept_ready() {
       ::close(fd);
       continue;
     }
-    obs::TraceScope trace(service_.tracer(), /*transport=*/true);
+    obs::TraceScope trace(&service_.stage_stats(), service_.tracer(),
+                          /*transport=*/true);
     trace.set_outcome(obs::Outcome::kOk);
     obs::SpanScope span(obs::Stage::kAccept, impl_->next_id);
     if (!bound_.is_unix) {
@@ -367,13 +374,13 @@ void EventLoopServer::accept_ready() {
 }
 
 void EventLoopServer::handle_readable(Connection& conn) {
-  obs::TraceScope trace(service_.tracer(), /*transport=*/true);
+  obs::TraceScope trace(&service_.stage_stats(), service_.tracer(),
+                        /*transport=*/true);
   trace.set_outcome(obs::Outcome::kOk);
   bool peer_eof = false;
   bool peer_err = false;
   {
     obs::SpanScope span(obs::Stage::kNetRead, conn.id);
-    const std::uint64_t start = now_ns();
     char buf[65536];
     for (;;) {
       const ssize_t r = ::read(conn.fd, buf, sizeof(buf));
@@ -393,7 +400,6 @@ void EventLoopServer::handle_readable(Connection& conn) {
       peer_err = true;
       break;
     }
-    counters_.read_ns.record_ns(now_ns() - start);
   }
   process_input(conn);
   if (peer_err) {
@@ -523,14 +529,11 @@ void EventLoopServer::dispatch(Connection& conn, std::string_view line,
   // owns the verb on both framings.
   if (first_token(line) == "WATCH") {
     obs::SpanScope span(obs::Stage::kDispatch, conn.id);
-    const std::uint64_t start = now_ns();
     const std::string response = handle_watch(conn, line);
-    counters_.dispatch_ns.record_ns(now_ns() - start);
     append_response(conn, response, binary);
     return;
   }
   obs::SpanScope span(obs::Stage::kDispatch, conn.id);
-  const std::uint64_t start = now_ns();
   // Suspend the connection-level readable trace so the protocol layer
   // begins a per-request trace of its own (parented here): a request that
   // fails must dump as a failure, not vanish inside the always-ok
@@ -540,7 +543,6 @@ void EventLoopServer::dispatch(Connection& conn, std::string_view line,
   const obs::ScopedParent parent(conn_trace);
   ViewStream more(continuation);
   const std::string response = session_.execute(std::string(line), more);
-  counters_.dispatch_ns.record_ns(now_ns() - start);
   if (first_token(line) == "QUIT") conn.close_after_flush = true;
   append_response(conn, response, binary);
 }
@@ -667,7 +669,6 @@ void EventLoopServer::append_response(Connection& conn,
 void EventLoopServer::flush_writes(Connection& conn) {
   if (conn.out_off < conn.out.size()) {
     obs::SpanScope span(obs::Stage::kNetWrite, conn.id);
-    const std::uint64_t start = now_ns();
     while (conn.out_off < conn.out.size()) {
       // MSG_NOSIGNAL: a peer that vanished with responses still queued must
       // surface as EPIPE here, not kill the process with SIGPIPE.
@@ -680,11 +681,9 @@ void EventLoopServer::flush_writes(Connection& conn) {
       }
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      counters_.write_ns.record_ns(now_ns() - start);
       close_connection(conn, /*midstream=*/false);
       return;
     }
-    counters_.write_ns.record_ns(now_ns() - start);
   }
   if (conn.out_off >= conn.out.size()) {
     conn.out.clear();

@@ -1,6 +1,5 @@
 #include "svc/plan_cache.hpp"
 
-#include <chrono>
 #include <utility>
 
 #include "lama/iteration.hpp"
@@ -8,17 +7,6 @@
 #include "support/error.hpp"
 
 namespace lama::svc {
-
-namespace {
-
-std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-}
-
-}  // namespace
 
 CachedPlan::CachedPlan(std::shared_ptr<const CachedTree> tree,
                        const TreeKey& key)
@@ -59,10 +47,7 @@ PlanCache::PlanPtr PlanCache::compile(
   }
   counters_.plan_misses.fetch_add(1, std::memory_order_relaxed);
   const obs::SpanScope compile_span(obs::Stage::kPlanCompile);
-  const auto start = std::chrono::steady_clock::now();
-  PlanPtr built = std::make_shared<const CachedPlan>(tree, key);
-  counters_.plan_compile_ns.record_ns(elapsed_ns(start));
-  return built;
+  return std::make_shared<const CachedPlan>(tree, key);
 }
 
 PlanCache::Lookup PlanCache::get_or_compile(

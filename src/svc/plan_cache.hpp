@@ -86,7 +86,7 @@ class PlanCache {
   };
 
   // Returns the plan for `key`, compiling it from `tree` on a miss (counted
-  // in plan_misses, timed into plan_compile_ns under a plan_compile span).
+  // in plan_misses, timed by a plan_compile span).
   // A hit is verified against the memoized seal when `verify` is set;
   // failures drop the entry and recompile from `tree` — which the caller
   // has already integrity-checked. Compile exceptions propagate.

@@ -847,7 +847,8 @@ std::string ProtocolSession::execute(const std::string& line,
     if (cmd == "MAP") {
       // The protocol owns the request trace so parse and reply are covered;
       // the service's own scope (run_counted) defers to it.
-      obs::TraceScope trace_scope(impl_->service.tracer());
+      obs::TraceScope trace_scope(&impl_->service.stage_stats(),
+                                 impl_->service.tracer());
       const std::uint64_t parse_span = obs::span_begin();
       const MapRequest request = impl_->parse_map_command(tokens);
       obs::span_end(obs::Stage::kParse, 0, parse_span);
@@ -906,7 +907,8 @@ std::string ProtocolSession::execute(const std::string& line,
       return out;
     }
     if (cmd == "MAPBATCH") {
-      obs::TraceScope trace_scope(impl_->service.tracer());
+      obs::TraceScope trace_scope(&impl_->service.stage_stats(),
+                                 impl_->service.tracer());
       if (tokens.size() < 2) {
         throw ParseError("MAPBATCH needs '<count> <job>...'");
       }
@@ -966,14 +968,16 @@ std::string ProtocolSession::execute(const std::string& line,
       return impl_->handle_availability(tokens, cmd == "OFFLINE") + "\n";
     }
     if (cmd == "REMAP") {
-      obs::TraceScope trace_scope(impl_->service.tracer());
+      obs::TraceScope trace_scope(&impl_->service.stage_stats(),
+                                 impl_->service.tracer());
       obs::Outcome outcome = obs::Outcome::kError;
       const std::string out = impl_->handle_remap(tokens, served_, outcome);
       trace_scope.set_outcome(outcome);
       return out + "\n";
     }
     if (cmd == "OPTIMIZE") {
-      obs::TraceScope trace_scope(impl_->service.tracer());
+      obs::TraceScope trace_scope(&impl_->service.stage_stats(),
+                                 impl_->service.tracer());
       obs::Outcome outcome = obs::Outcome::kError;
       const std::string out =
           impl_->handle_optimize(tokens, more, served_, outcome);

@@ -3,7 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
+#include <limits>
+#include <span>
+#include <string_view>
+#include <unordered_map>
 
 #include "cluster/alloc_serialize.hpp"
 #include "dur/state_store.hpp"
@@ -123,9 +128,10 @@ MapResponse MappingService::shed_response() {
 MapResponse MappingService::run_counted(
     const char* verb, std::uint32_t timeout_ms,
     const std::function<MapResponse(std::uint64_t)>& fn) {
-  // Begins a trace only when none is active on this thread: the protocol
-  // layer's TraceScope (which also covers parse/reply) wins when present.
-  obs::TraceScope trace_scope(tracer_.get());
+  // Opens the request scope only when none is open on this thread: the
+  // protocol layer's TraceScope (which also covers parse/reply) wins when
+  // present.
+  obs::TraceScope trace_scope(&stage_stats_, tracer_.get());
   // A draining service sheds every new arrival with the retry hint: clients
   // back off and find the restarted process, in-flight work still finishes.
   if (draining()) {
@@ -181,9 +187,7 @@ MapResponse MappingService::run_counted(
   response.outcome = outcome;
   trace_scope.set_outcome(outcome);
   counters_.completed.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t took = elapsed_ns(start);
-  counters_.total_ns.record_ns(took);
-  slo_.record(verb, took, response.ok());
+  slo_.record(verb, elapsed_ns(start), response.ok());
   inflight_.fetch_sub(1, std::memory_order_acq_rel);
   return response;
 }
@@ -200,32 +204,23 @@ MappingResult MappingService::run_lama_walk(const Allocation& alloc,
                                             const MapOptions& opts,
                                             const MaximalTree* tree) {
   const obs::SpanScope map_span(obs::Stage::kMap);
-  const auto start = std::chrono::steady_clock::now();
-  MappingResult mapping = tree != nullptr
-                              ? lama_map(alloc, layout, opts, *tree)
-                              : lama_map(alloc, layout, opts);
-  counters_.map_ns.record_ns(elapsed_ns(start));
-  return mapping;
+  return tree != nullptr ? lama_map(alloc, layout, opts, *tree)
+                         : lama_map(alloc, layout, opts);
 }
 
 MappingResult MappingService::run_compiled_walk(const Allocation& alloc,
                                                 const MapOptions& opts,
                                                 const MapPlan& plan) {
+  // map_walk covers every lama walk, reference or compiled; plan_exec only
+  // the compiled ones.
   const obs::SpanScope map_span(obs::Stage::kMap);
-  const auto start = std::chrono::steady_clock::now();
+  const obs::SpanScope exec_span(obs::Stage::kPlanExec);
+  // One executor per worker thread: its dense arenas stay sized for the
+  // plans that thread replays, so steady-state walks allocate nothing
+  // inside the executor.
+  thread_local PlanExecutor executor;
   MappingResult mapping;
-  {
-    const obs::SpanScope exec_span(obs::Stage::kPlanExec);
-    // One executor per worker thread: its dense arenas stay sized for the
-    // plans that thread replays, so steady-state walks allocate nothing
-    // inside the executor.
-    thread_local PlanExecutor executor;
-    lama_map_compiled(alloc, opts, plan, executor, mapping);
-  }
-  const std::uint64_t took = elapsed_ns(start);
-  counters_.compiled_map_ns.record_ns(took);
-  // map_ns covers every lama walk, reference or compiled.
-  counters_.map_ns.record_ns(took);
+  lama_map_compiled(alloc, opts, plan, executor, mapping);
   return mapping;
 }
 
@@ -263,10 +258,8 @@ MapResponse MappingService::map_uncaught(const MapRequest& request,
     const TreeKey key{request.alloc.fingerprint, layout.to_string()};
     layout_series_.increment(key.layout);
     counters_.cached.fetch_add(1, std::memory_order_relaxed);
-    const std::uint64_t lookup_span = obs::span_begin();
     ShardedTreeCache::Lookup lookup =
         cache_.get_or_build(key, client_alloc, layout);
-    obs::span_end(obs::Stage::kLookup, lookup.hit ? 1 : 0, lookup_span);
     cached = std::move(lookup.tree);
     response.cache_hit = lookup.hit;
     response.coalesced = lookup.coalesced;
@@ -312,9 +305,7 @@ MapResponse MappingService::map_uncaught(const MapRequest& request,
     layout_series_.increment(name);
     counters_.uncached.fetch_add(1, std::memory_order_relaxed);
     const obs::SpanScope map_span(obs::Stage::kMap, 0);
-    const auto map_start = std::chrono::steady_clock::now();
     response.mapping = registry_.map(request.spec, client_alloc, opts);
-    counters_.map_ns.record_ns(elapsed_ns(map_start));
   }
 
   if (request.binding.has_value()) {
@@ -341,10 +332,8 @@ MapResponse MappingService::remap(const RemapRequest& request) {
     throw_if_past(opts.deadline_ns, "remap started");
 
     const obs::SpanScope map_span(obs::Stage::kMap);
-    const auto map_start = std::chrono::steady_clock::now();
     RemapResult remapped = lama_remap(*request.alloc.alloc, request.layout,
                                       opts, *request.previous);
-    counters_.map_ns.record_ns(elapsed_ns(map_start));
 
     MapResponse response;
     response.mapping = std::move(remapped.mapping);
@@ -408,11 +397,9 @@ OptimizeResponse MappingService::optimize(const OptimizeRequest& request) {
         }
 
         const obs::SpanScope opt_span(obs::Stage::kOptimize);
-        const auto start = std::chrono::steady_clock::now();
         static const DistanceModel kModel = DistanceModel::commodity();
         opt::OptimizeResult result = optimize_placement(
             *request.alloc.alloc, *request.matrix, budget, kModel, parallel);
-        counters_.opt_ns.record_ns(elapsed_ns(start));
         counters_.opt_candidates.fetch_add(result.candidates_evaluated,
                                            std::memory_order_relaxed);
         counters_.opt_swaps.fetch_add(result.refine_swaps,
@@ -434,9 +421,10 @@ OptimizeResponse MappingService::optimize(const OptimizeRequest& request) {
 std::vector<MapResponse> MappingService::map_batch(
     const std::vector<MapRequest>& requests) {
   // The batch itself is traced (stage `batch`); every job runs under its own
-  // trace carrying the batch's id as parent. The scope begins only when the
-  // protocol layer did not already begin a trace for this MAPBATCH line.
-  obs::TraceScope batch_scope(tracer_.get());
+  // request scope carrying the batch's trace id as parent. The batch scope
+  // opens only when the protocol layer did not already open one for this
+  // MAPBATCH line.
+  obs::TraceScope batch_scope(&stage_stats_, tracer_.get());
   const std::uint64_t batch_id = obs::current_trace_id();
   const obs::SpanScope batch_span(obs::Stage::kBatch,
                                   static_cast<std::uint32_t>(requests.size()));
@@ -474,16 +462,14 @@ std::vector<MapResponse> MappingService::map_batch(
     }
     for (std::size_t i = 0; i < requests.size(); ++i) {
       // A refused slot (bounded queue full) sheds with the busy response —
-      // traced like any other shed so the failure is never invisible.
+      // scoped like any other shed so the failure is never invisible.
       if (pending[i].has_value()) {
         responses[i] = pending[i]->get();
       } else {
-        if (tracer_ != nullptr) {
-          const obs::ScopedTrace suspend{obs::TraceHandle{}};
-          const obs::ScopedParent parent(batch_id);
-          const std::uint64_t id = tracer_->begin();
-          tracer_->end(id, obs::Outcome::kShed);
-        }
+        const obs::ScopedTrace suspend{obs::TraceHandle{}};
+        const obs::ScopedParent parent(batch_id);
+        obs::TraceScope shed_scope(&stage_stats_, tracer_.get());
+        shed_scope.set_outcome(obs::Outcome::kShed);
         responses[i] = shed_response();
       }
     }
@@ -505,28 +491,6 @@ double MappingService::uptime_s() const {
 }
 
 namespace {
-
-void add_summary(obs::MetricsSnapshot& snap, const std::string& name,
-                 const std::string& help,
-                 const LatencyHistogram::Snapshot& s) {
-  obs::MetricFamily& family = snap.add(name, help, "summary");
-  for (const double q : {0.5, 0.9, 0.99}) {
-    char quantile[16];
-    std::snprintf(quantile, sizeof(quantile), "%g", q);
-    family.samples.push_back(
-        {"", {{"quantile", quantile}},
-         static_cast<double>(s.percentile_ns(q * 100.0))});
-  }
-  family.samples.push_back({"_sum", {}, static_cast<double>(s.sum_ns)});
-  family.samples.push_back({"_count", {}, static_cast<double>(s.count)});
-}
-
-void add_summary(obs::MetricsSnapshot& snap, const std::string& name,
-                 const std::string& help, const LatencyHistogram& hist) {
-  // One snapshot per family: quantiles, sum, and count are mutually
-  // consistent even while writers keep recording.
-  add_summary(snap, name, help, hist.snapshot());
-}
 
 // Renders the per-stage histograms as one real Prometheus histogram family
 // labeled by stage: cumulative `le` buckets (each bucket's inclusive upper
@@ -572,6 +536,203 @@ void add_stage_histograms(obs::MetricsSnapshot& snap,
     family.samples.push_back(
         {"_count", {{"stage", name}}, static_cast<double>(snapshot.count)});
   }
+}
+
+// How a STATS key renders its value from the metrics snapshot.
+enum class StatsValue : std::uint8_t {
+  kCount,    // a single-sample family, as an integer
+  kFixed,    // a single-sample family, with three decimals
+  kStageUs,  // a quantile of one lama_stage_latency_ns stage, µs with
+             // three decimals (ns resolution); 0.000 before it first runs
+  kCsv,      // every sample of a shard-labeled family, comma-separated
+};
+
+struct StatsKey {
+  const char* key;
+  const char* source;  // the family; the stage for kStageUs
+  StatsValue value = StatsValue::kCount;
+  double quantile = 0.0;  // kStageUs only
+};
+
+constexpr StatsKey kServiceKeys[] = {
+    {"requests", "lama_requests_total"},
+    {"completed", "lama_completed_total"},
+    {"errors", "lama_errors_total"},
+    {"hits", "lama_cache_hits_total"},
+    {"misses", "lama_cache_misses_total"},
+    {"coalesced", "lama_coalesced_total"},
+    {"evictions", "lama_evictions_total"},
+    {"uncached", "lama_uncached_total"},
+    {"cached", "lama_cached_total"},
+    {"shed", "lama_shed_total"},
+    {"deadlined", "lama_deadlined_total"},
+    {"integrity_failures", "lama_integrity_failures_total"},
+    {"degraded", "lama_degraded_total"},
+    {"invalidations", "lama_invalidations_total"},
+    {"remaps", "lama_remaps_total"},
+    {"batched", "lama_batched_total"},
+    {"batch_jobs", "lama_batch_jobs_total"},
+    {"map_p50_us", "map_walk", StatsValue::kStageUs, 0.5},
+    {"map_p99_us", "map_walk", StatsValue::kStageUs, 0.99},
+    {"build_p99_us", "tree_build", StatsValue::kStageUs, 0.99},
+    {"total_p99_us", "request", StatsValue::kStageUs, 0.99},
+    {"lookup_p50_us", "cache_lookup", StatsValue::kStageUs, 0.5},
+    {"lookup_p99_us", "cache_lookup", StatsValue::kStageUs, 0.99},
+    {"plan_hits", "lama_plan_cache_hits_total"},
+    {"plan_misses", "lama_plan_cache_misses_total"},
+    {"plan_compile_p99_us", "plan_compile", StatsValue::kStageUs, 0.99},
+    {"compiled_map_p50_us", "plan_exec", StatsValue::kStageUs, 0.5},
+    {"compiled_map_p99_us", "plan_exec", StatsValue::kStageUs, 0.99},
+    {"opt_requests", "lama_opt_requests_total"},
+    {"opt_hits", "lama_opt_hits_total"},
+    {"opt_misses", "lama_opt_misses_total"},
+    {"opt_candidates", "lama_opt_candidates_total"},
+    {"opt_swaps", "lama_opt_swaps_total"},
+    {"opt_p99_us", "optimize", StatsValue::kStageUs, 0.99},
+    {"uptime_s", "lama_uptime_seconds", StatsValue::kFixed},
+    {"cache_trees", "lama_cache_trees"},
+    {"cache_plans", "lama_cache_plans"},
+    {"cache_opts", "lama_cache_opts"},
+    {"traces_started", "lama_traces_started_total"},
+    {"traces_assembled", "lama_traces_assembled_total"},
+    {"trace_dumps", "lama_trace_dumps_total"},
+    {"traces_tail", "lama_traces_tail_total"},
+};
+
+constexpr StatsKey kDurKeys[] = {
+    {"dur_records", "lama_dur_journal_records_total"},
+    {"dur_lag", "lama_dur_journal_lag"},
+    {"dur_fsyncs", "lama_dur_journal_fsyncs_total"},
+    {"dur_errors", "lama_dur_journal_errors_total"},
+    {"dur_snapshots", "lama_dur_snapshots_total"},
+    {"dur_recovered", "lama_dur_recovered_records_total"},
+    {"dur_torn", "lama_dur_torn_tails_total"},
+    {"dur_seq", "lama_dur_snapshot_seq"},
+};
+
+constexpr StatsKey kNetKeys[] = {
+    {"net_accepted", "lama_net_accepted_total"},
+    {"net_closed", "lama_net_closed_total"},
+    {"net_active", "lama_net_active_connections"},
+    {"net_rejected", "lama_net_rejected_total"},
+    {"net_text_requests", "lama_net_text_requests_total"},
+    {"net_binary_requests", "lama_net_binary_requests_total"},
+    {"net_responses", "lama_net_responses_total"},
+    {"net_shed", "lama_net_shed_total"},
+    {"net_frame_errors", "lama_net_frame_errors_total"},
+    {"net_disconnects", "lama_net_disconnects_total"},
+    {"net_bytes_in", "lama_net_bytes_in_total"},
+    {"net_bytes_out", "lama_net_bytes_out_total"},
+    {"net_dispatch_p99_us", "dispatch", StatsValue::kStageUs, 0.99},
+};
+
+constexpr StatsKey kShardKeys[] = {
+    {"net_shards", "lama_net_shards"},
+    {"net_shard_requests", "lama_net_shard_requests_total", StatsValue::kCsv},
+    {"net_shard_conns", "lama_net_shard_active_connections",
+     StatsValue::kCsv},
+};
+
+// The STATS line in wire order. Consumers parse by prefix, so keys only
+// ever append. A group prints only when its gate family is exported: the
+// dur_* keys with a state store attached, the net_* keys with an event-loop
+// server, the per-shard split with more than one shard. The per-verb SLO
+// keys follow, one group per configured verb.
+struct StatsGroup {
+  const char* gate;
+  std::span<const StatsKey> keys;
+};
+
+constexpr StatsGroup kStatsGroups[] = {
+    {"lama_requests_total", kServiceKeys},
+    {"lama_dur_journal_records_total", kDurKeys},
+    {"lama_net_accepted_total", kNetKeys},
+    {"lama_net_shard_requests_total", kShardKeys},
+};
+
+std::string format_count(double value) {
+  return std::to_string(static_cast<unsigned long long>(value));
+}
+
+std::string format_fixed3(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.3f", value);
+  return buf;
+}
+
+std::string stats_line_of(const obs::MetricsSnapshot& snap) {
+  std::unordered_map<std::string_view, const obs::MetricFamily*> families;
+  for (const obs::MetricFamily& family : snap.families) {
+    families.emplace(family.name, &family);
+  }
+  const auto find = [&families](std::string_view name) {
+    const auto it = families.find(name);
+    return it == families.end() ? nullptr : it->second;
+  };
+  // Each stage's cumulative buckets; add_stage_histograms labels every
+  // bucket (stage, le) in that order.
+  std::unordered_map<std::string_view, std::vector<std::pair<double, double>>>
+      stages;
+  for (const obs::MetricSample& sample :
+       find("lama_stage_latency_ns")->samples) {
+    if (sample.suffix != "_bucket") continue;
+    const std::string& le = sample.labels[1].second;
+    stages[sample.labels[0].second].emplace_back(
+        le == "+Inf" ? std::numeric_limits<double>::infinity()
+                     : std::strtod(le.c_str(), nullptr),
+        sample.value);
+  }
+
+  std::string line;
+  const auto append = [&line](std::string_view key, const std::string& value) {
+    if (!line.empty()) line += ' ';
+    line += key;
+    line += '=';
+    line += value;
+  };
+  for (const StatsGroup& group : kStatsGroups) {
+    if (find(group.gate) == nullptr) continue;
+    for (const StatsKey& k : group.keys) {
+      switch (k.value) {
+        case StatsValue::kCount:
+          append(k.key, format_count(find(k.source)->samples[0].value));
+          break;
+        case StatsValue::kFixed:
+          append(k.key, format_fixed3(find(k.source)->samples[0].value));
+          break;
+        case StatsValue::kStageUs:
+          append(k.key,
+                 format_fixed3(obs::bucket_quantile(stages[k.source],
+                                                    k.quantile) /
+                               1000.0));
+          break;
+        case StatsValue::kCsv: {
+          std::string csv;
+          for (const obs::MetricSample& sample : find(k.source)->samples) {
+            if (!csv.empty()) csv += ',';
+            csv += format_count(sample.value);
+          }
+          append(k.key, csv);
+          break;
+        }
+      }
+    }
+  }
+  // metrics_snapshot pushes one good and one bad sample per verb, and the
+  // verb's fast then slow burn rate, in the tracker's verb order.
+  if (const obs::MetricFamily* good = find("lama_slo_good_total")) {
+    const obs::MetricFamily& bad = *find("lama_slo_bad_total");
+    const obs::MetricFamily& burn = *find("lama_slo_burn_rate");
+    for (std::size_t i = 0; i < good->samples.size(); ++i) {
+      const std::string prefix = "slo_" + good->samples[i].labels[0].second;
+      append(prefix + "_good", format_count(good->samples[i].value));
+      append(prefix + "_bad", format_count(bad.samples[i].value));
+      append(prefix + "_fast_burn", format_fixed3(burn.samples[2 * i].value));
+      append(prefix + "_slow_burn",
+             format_fixed3(burn.samples[2 * i + 1].value));
+    }
+  }
+  return line;
 }
 
 }  // namespace
@@ -655,19 +816,6 @@ obs::MetricsSnapshot MappingService::metrics_snapshot() const {
                   static_cast<double>(
                       inflight_.load(std::memory_order_relaxed)));
 
-  // Per-stage latency summaries.
-  add_summary(snap, "lama_lookup_ns", "Cache probe latency (ns)", c.lookup_ns);
-  add_summary(snap, "lama_build_ns", "Maximal-tree build latency (ns)",
-              c.build_ns);
-  add_summary(snap, "lama_map_ns", "Mapping walk latency (ns)", c.map_ns);
-  add_summary(snap, "lama_plan_compile_ns", "Plan compilation latency (ns)",
-              c.plan_compile_ns);
-  add_summary(snap, "lama_compiled_map_ns",
-              "Compiled-kernel mapping walk latency (ns)", c.compiled_map_ns);
-  add_summary(snap, "lama_opt_ns", "Placement search latency (ns)", c.opt_ns);
-  add_summary(snap, "lama_total_ns", "End-to-end request latency (ns)",
-              c.total_ns);
-
   // Labeled request series (bounded; overflow folds into "_other").
   {
     obs::MetricFamily& family =
@@ -736,48 +884,47 @@ obs::MetricsSnapshot MappingService::metrics_snapshot() const {
     return net_;
   }();
   if (!shards.empty()) {
-    NetStats n;
-    for (const NetCounters* shard : shards) n.add(*shard);
+    const auto sum = [&](const std::atomic<std::uint64_t> NetCounters::*field) {
+      double total = 0.0;
+      for (const NetCounters* shard : shards) total += load(shard->*field);
+      return total;
+    };
+    const double accepted = sum(&NetCounters::accepted);
+    const double closed = sum(&NetCounters::closed);
     snap.add_scalar("lama_net_accepted_total", "Connections accepted",
-                    "counter", static_cast<double>(n.accepted));
+                    "counter", accepted);
     snap.add_scalar("lama_net_closed_total", "Connections closed", "counter",
-                    static_cast<double>(n.closed));
+                    closed);
     snap.add_scalar("lama_net_rejected_total",
                     "Accepts refused at the connection cap", "counter",
-                    static_cast<double>(n.rejected));
+                    sum(&NetCounters::rejected));
     snap.add_scalar("lama_net_text_requests_total",
                     "Text-framed requests dispatched", "counter",
-                    static_cast<double>(n.text_requests));
+                    sum(&NetCounters::text_requests));
     snap.add_scalar("lama_net_binary_requests_total",
                     "Binary-framed requests dispatched", "counter",
-                    static_cast<double>(n.binary_requests));
+                    sum(&NetCounters::binary_requests));
     snap.add_scalar("lama_net_responses_total",
                     "Responses enqueued for write", "counter",
-                    static_cast<double>(n.responses));
+                    sum(&NetCounters::responses));
     snap.add_scalar("lama_net_shed_total",
                     "Requests shed by write-buffer backpressure", "counter",
-                    static_cast<double>(n.shed_backpressure));
+                    sum(&NetCounters::shed_backpressure));
     snap.add_scalar("lama_net_frame_errors_total",
                     "Malformed frames and overlong lines", "counter",
-                    static_cast<double>(n.frame_errors));
+                    sum(&NetCounters::frame_errors));
     snap.add_scalar("lama_net_disconnects_total",
                     "Connections lost with a partial request buffered",
-                    "counter", static_cast<double>(n.midstream_disconnects));
+                    "counter", sum(&NetCounters::midstream_disconnects));
     snap.add_scalar("lama_net_bytes_in_total", "Bytes read from peers",
-                    "counter", static_cast<double>(n.bytes_in));
+                    "counter", sum(&NetCounters::bytes_in));
     snap.add_scalar("lama_net_bytes_out_total", "Bytes written to peers",
-                    "counter", static_cast<double>(n.bytes_out));
+                    "counter", sum(&NetCounters::bytes_out));
     snap.add_scalar("lama_net_active_connections",
                     "Connections currently open", "gauge",
-                    static_cast<double>(n.active()));
+                    accepted >= closed ? accepted - closed : 0.0);
     snap.add_scalar("lama_net_shards", "Attached event-loop shards", "gauge",
                     static_cast<double>(shards.size()));
-    add_summary(snap, "lama_net_read_ns", "Socket drain latency (ns)",
-                n.read_ns);
-    add_summary(snap, "lama_net_dispatch_ns",
-                "Per-request dispatch latency (ns)", n.dispatch_ns);
-    add_summary(snap, "lama_net_write_ns", "Write-buffer flush latency (ns)",
-                n.write_ns);
     if (shards.size() > 1) {
       obs::MetricFamily& reqs =
           snap.add("lama_net_shard_requests_total",
@@ -827,8 +974,10 @@ obs::MetricsSnapshot MappingService::metrics_snapshot() const {
                   tracer_ ? static_cast<double>(tracer_->recorder().size())
                           : 0.0);
 
-  // Per-stage latency histograms with trace-id exemplars (tracing on only).
-  if (tracer_ != nullptr) add_stage_histograms(snap, tracer_->stage_stats());
+  // Per-stage latency histograms, with trace-id exemplars for sampled
+  // traces. Every latency figure STATS, WATCH and `lamactl top` show is
+  // read from this family.
+  add_stage_histograms(snap, stage_stats_);
 
   // SLO accounting (absent unless objectives were configured). One family
   // is filled completely before the next snap.add — add may reallocate the
@@ -871,178 +1020,7 @@ obs::MetricsSnapshot MappingService::metrics_snapshot() const {
 }
 
 std::string MappingService::stats_line() const {
-  char buf[256];
-  std::snprintf(
-      buf, sizeof(buf),
-      " uptime_s=%.3f cache_trees=%llu cache_plans=%llu cache_opts=%llu "
-      "traces_started=%llu traces_assembled=%llu trace_dumps=%llu "
-      "traces_tail=%llu",
-      uptime_s(), static_cast<unsigned long long>(cache_.size()),
-      static_cast<unsigned long long>(plan_cache_.size()),
-      static_cast<unsigned long long>(opt_cache_.size()),
-      static_cast<unsigned long long>(tracer_ ? tracer_->started() : 0),
-      static_cast<unsigned long long>(tracer_ ? tracer_->assembled() : 0),
-      static_cast<unsigned long long>(tracer_ ? tracer_->recorder().dumps()
-                                              : 0),
-      static_cast<unsigned long long>(tracer_ ? tracer_->tail_captured()
-                                              : 0));
-  std::string line = counters_.stats_line() + buf;
-  // STATS is append-only: consumers parse by prefix, so the dur keys join
-  // at the end and only when persistence is on.
-  if (durability_ != nullptr) {
-    const dur::StoreStats d = durability_->stats();
-    char dur_buf[256];
-    std::snprintf(
-        dur_buf, sizeof(dur_buf),
-        " dur_records=%llu dur_lag=%llu dur_fsyncs=%llu dur_errors=%llu "
-        "dur_snapshots=%llu dur_recovered=%llu dur_torn=%llu dur_seq=%llu",
-        static_cast<unsigned long long>(d.journal.appended),
-        static_cast<unsigned long long>(durability_->journal_lag()),
-        static_cast<unsigned long long>(d.journal.fsyncs),
-        static_cast<unsigned long long>(d.journal.write_errors +
-                                        d.journal.fsync_errors),
-        static_cast<unsigned long long>(d.snapshots),
-        static_cast<unsigned long long>(d.recovered_records),
-        static_cast<unsigned long long>(d.torn_tails),
-        static_cast<unsigned long long>(durability_->snapshot_seq()));
-    line += dur_buf;
-  }
-  // The net keys append last, and only when the event-loop server is on.
-  // With several shards attached the aggregate keys keep their single-shard
-  // format and two csv keys expose the per-shard split.
-  {
-    const std::vector<const NetCounters*> shards = [this] {
-      const std::lock_guard<std::mutex> lock(net_mu_);
-      return net_;
-    }();
-    if (!shards.empty()) {
-      NetStats agg;
-      for (const NetCounters* shard : shards) agg.add(*shard);
-      line += " " + agg.stats_line();
-      if (shards.size() > 1) {
-        line += " net_shards=" + std::to_string(shards.size());
-        std::string reqs;
-        std::string conns;
-        for (const NetCounters* shard : shards) {
-          if (!reqs.empty()) {
-            reqs += ',';
-            conns += ',';
-          }
-          const std::uint64_t r =
-              shard->text_requests.load(std::memory_order_relaxed) +
-              shard->binary_requests.load(std::memory_order_relaxed);
-          reqs += std::to_string(r);
-          conns += std::to_string(shard->active());
-        }
-        line += " net_shard_requests=" + reqs;
-        line += " net_shard_conns=" + conns;
-      }
-    }
-  }
-  // SLO keys (per configured verb) append after everything else.
-  if (slo_.enabled()) {
-    for (const SloTracker::VerbSnapshot& v : slo_.snapshot()) {
-      char slo_buf[192];
-      std::snprintf(slo_buf, sizeof(slo_buf),
-                    " slo_%s_good=%llu slo_%s_bad=%llu "
-                    "slo_%s_fast_burn=%.3f slo_%s_slow_burn=%.3f",
-                    v.verb.c_str(),
-                    static_cast<unsigned long long>(v.good), v.verb.c_str(),
-                    static_cast<unsigned long long>(v.bad), v.verb.c_str(),
-                    v.fast_burn, v.verb.c_str(), v.slow_burn);
-      line += slo_buf;
-    }
-  }
-  return line;
-}
-
-std::string MappingService::render_stats() const {
-  std::string out = counters_.render();
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "service  uptime %.3fs, cached trees %llu, cached plans "
-                "%llu, cached opts %llu, inflight %llu\n",
-                uptime_s(),
-                static_cast<unsigned long long>(cache_.size()),
-                static_cast<unsigned long long>(plan_cache_.size()),
-                static_cast<unsigned long long>(opt_cache_.size()),
-                static_cast<unsigned long long>(
-                    inflight_.load(std::memory_order_relaxed)));
-  out += buf;
-  if (tracer_ != nullptr) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "tracing  started %llu, assembled %llu, tail-captured %llu, dumps "
-        "%llu, retained %llu (sample 1/%u)\n",
-        static_cast<unsigned long long>(tracer_->started()),
-        static_cast<unsigned long long>(tracer_->assembled()),
-        static_cast<unsigned long long>(tracer_->tail_captured()),
-        static_cast<unsigned long long>(tracer_->recorder().dumps()),
-        static_cast<unsigned long long>(tracer_->recorder().size()),
-        tracer_->config().sample_every);
-    out += buf;
-  }
-  if (slo_.enabled()) {
-    for (const SloTracker::VerbSnapshot& v : slo_.snapshot()) {
-      std::snprintf(
-          buf, sizeof(buf),
-          "slo      %-9s %llu good / %llu bad (objective %llu ns @ %.4g), "
-          "burn fast %.2f slow %.2f\n",
-          v.verb.c_str(), static_cast<unsigned long long>(v.good),
-          static_cast<unsigned long long>(v.bad),
-          static_cast<unsigned long long>(v.threshold_ns), v.target * 100.0,
-          v.fast_burn, v.slow_burn);
-      out += buf;
-    }
-  }
-  if (durability_ != nullptr) {
-    const dur::StoreStats d = durability_->stats();
-    std::snprintf(
-        buf, sizeof(buf),
-        "durable  journal %llu records (%llu lost), lag %llu, fsyncs %llu, "
-        "snapshots %llu (seq %llu), recovered %llu, torn tails %llu\n",
-        static_cast<unsigned long long>(d.journal.appended),
-        static_cast<unsigned long long>(d.journal.write_errors +
-                                        d.journal.fsync_errors),
-        static_cast<unsigned long long>(durability_->journal_lag()),
-        static_cast<unsigned long long>(d.journal.fsyncs),
-        static_cast<unsigned long long>(d.snapshots),
-        static_cast<unsigned long long>(durability_->snapshot_seq()),
-        static_cast<unsigned long long>(d.recovered_records),
-        static_cast<unsigned long long>(d.torn_tails));
-    out += buf;
-  }
-  {
-    const std::vector<const NetCounters*> shards = [this] {
-      const std::lock_guard<std::mutex> lock(net_mu_);
-      return net_;
-    }();
-    if (!shards.empty()) {
-      NetStats agg;
-      for (const NetCounters* shard : shards) agg.add(*shard);
-      out += agg.render();
-      if (shards.size() > 1) {
-        for (std::size_t i = 0; i < shards.size(); ++i) {
-          const NetCounters& s = *shards[i];
-          std::snprintf(
-              buf, sizeof(buf),
-              "shard %-2zu requests %llu, conns %llu, bytes %llu in / %llu "
-              "out\n",
-              i,
-              static_cast<unsigned long long>(
-                  s.text_requests.load(std::memory_order_relaxed) +
-                  s.binary_requests.load(std::memory_order_relaxed)),
-              static_cast<unsigned long long>(s.active()),
-              static_cast<unsigned long long>(
-                  s.bytes_in.load(std::memory_order_relaxed)),
-              static_cast<unsigned long long>(
-                  s.bytes_out.load(std::memory_order_relaxed)));
-          out += buf;
-        }
-      }
-    }
-  }
-  return out;
+  return stats_line_of(metrics_snapshot());
 }
 
 void MappingService::attach_net(const NetCounters* net) {

@@ -6,7 +6,8 @@
 // a worker pool. "lama" requests go through the sharded tree cache
 // (tree_cache.hpp): the maximal/pruned tree for (allocation, layout) is
 // built once and every repeated query skips straight to the iteration walk.
-// Every stage is measured into svc::Counters.
+// Every request counts into svc::Counters, and every pipeline stage it runs
+// is timed into the service's obs::StageStats.
 //
 // Resilience (docs/resilience.md): allocations are versioned by epochs that
 // invalidate cached trees when resources go off-line, requests carry
@@ -90,9 +91,10 @@ struct ServiceConfig {
   support::NumaAllocator* shard_arena = nullptr;
   const support::NumaTopology* numa_topology = nullptr;
 
-  // Observability (docs/observability.md). flight_recorder > 0 enables
-  // request tracing and retains that many complete traces; 0 disables the
-  // tracer entirely (span recording stays a no-op branch on the hot path).
+  // Observability (docs/observability.md). Stage latency histograms are
+  // always on; flight_recorder > 0 adds request tracing (trace assembly
+  // for TRACE, exemplars, the flight recorder) and retains that many
+  // complete traces, 0 disables the tracer.
   std::size_t flight_recorder = 0;
   // Head-based sampling: assemble 1-in-N healthy traces (1 = every trace,
   // 0 = failures only). Failed requests are always assembled and dumped.
@@ -256,22 +258,28 @@ class MappingService {
   [[nodiscard]] obs::Tracer* tracer() { return tracer_.get(); }
   [[nodiscard]] const obs::Tracer* tracer() const { return tracer_.get(); }
 
+  // Per-stage latency histograms, fed by every span of every request
+  // whether or not a tracer exists: each request scope (obs::TraceScope)
+  // installs them as the thread's span sink, and the event loop installs
+  // them for its transport stages.
+  [[nodiscard]] obs::StageStats& stage_stats() { return stage_stats_; }
+
   // Seconds since construction (monotonic).
   [[nodiscard]] double uptime_s() const;
 
-  // One snapshot of every exported metric — counters, histograms as
-  // summaries, service gauges (uptime, cached trees, inflight), tracer
-  // counters, and the per-layout / per-allocation labeled series. Both
-  // exposition formats (Prometheus text, JSON) render from this.
+  // One snapshot of every exported metric — counters, service gauges
+  // (uptime, cached trees, inflight), tracer counters, the per-stage
+  // latency histograms, and the per-layout / per-allocation labeled series.
+  // Every stats surface renders from this: the Prometheus text and JSON
+  // expositions, and the STATS line.
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() const;
 
-  // The STATS wire line: Counters::stats_line() plus service-level keys
-  // (uptime, cache entries, tracer activity) appended at the end — existing
-  // consumers parse by prefix, so new keys only ever append.
+  // The STATS wire line, rendered from metrics_snapshot() through one
+  // ordered key table: request counters, stage quantiles in µs (three
+  // decimals), service keys, then — when present — durability, transport,
+  // and per-verb SLO keys. Consumers parse by prefix, so new keys only ever
+  // append.
   [[nodiscard]] std::string stats_line() const;
-
-  // Human-readable stats: Counters::render() plus the service-level lines.
-  [[nodiscard]] std::string render_stats() const;
 
   // Component registry used for dispatch. Register custom components before
   // serving traffic: registration is not synchronized against map().
@@ -343,6 +351,7 @@ class MappingService {
   OptCache opt_cache_;
   WorkerPool pool_;
   SloTracker slo_;
+  obs::StageStats stage_stats_;
   std::unique_ptr<obs::Tracer> tracer_;  // null when tracing is disabled
   obs::LabeledCounter layout_series_;    // requests per layout / spec
   obs::LabeledCounter alloc_series_;     // requests per alloc fingerprint

@@ -1,24 +1,11 @@
 #include "svc/tree_cache.hpp"
 
-#include <chrono>
-
 #include "cluster/alloc_serialize.hpp"
 #include "obs/tracer.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
 
 namespace lama::svc {
-
-namespace {
-
-std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-}
-
-}  // namespace
 
 std::size_t TreeKeyHash::operator()(const TreeKey& key) const {
   return static_cast<std::size_t>(
@@ -66,7 +53,9 @@ ShardedTreeCache::Shard& ShardedTreeCache::shard_for(const TreeKey& key) {
 
 ShardedTreeCache::Lookup ShardedTreeCache::get_or_build(
     const TreeKey& key, const Allocation& alloc, const ProcessLayout& layout) {
-  const auto lookup_start = std::chrono::steady_clock::now();
+  // The cache_lookup span is the shard probe alone (detail = hit); the
+  // tree_build or coalesce_wait that a miss continues with are its siblings.
+  const std::uint64_t lookup_span = obs::span_begin();
   Shard& shard = shard_for(key);
   std::unique_lock<std::mutex> lock(shard.mu);
 
@@ -74,7 +63,7 @@ ShardedTreeCache::Lookup ShardedTreeCache::get_or_build(
     TreePtr tree = *cached;
     lock.unlock();
     counters_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    counters_.lookup_ns.record_ns(elapsed_ns(lookup_start));
+    obs::span_end(obs::Stage::kLookup, 1, lookup_span);
     return {std::move(tree), /*hit=*/true, /*coalesced=*/false};
   }
 
@@ -82,7 +71,7 @@ ShardedTreeCache::Lookup ShardedTreeCache::get_or_build(
     std::shared_future<TreePtr> pending = it->second;
     lock.unlock();
     counters_.coalesced.fetch_add(1, std::memory_order_relaxed);
-    counters_.lookup_ns.record_ns(elapsed_ns(lookup_start));
+    obs::span_end(obs::Stage::kLookup, 0, lookup_span);
     const obs::SpanScope wait_span(obs::Stage::kCoalesceWait);
     return {pending.get(), /*hit=*/false, /*coalesced=*/true};  // may rethrow
   }
@@ -92,10 +81,9 @@ ShardedTreeCache::Lookup ShardedTreeCache::get_or_build(
   shard.inflight.emplace(key, promise.get_future().share());
   lock.unlock();
   counters_.cache_misses.fetch_add(1, std::memory_order_relaxed);
-  counters_.lookup_ns.record_ns(elapsed_ns(lookup_start));
+  obs::span_end(obs::Stage::kLookup, 0, lookup_span);
 
   TreePtr built;
-  const auto build_start = std::chrono::steady_clock::now();
   try {
     built = std::make_shared<const CachedTree>(alloc, layout);
   } catch (...) {
@@ -105,7 +93,6 @@ ShardedTreeCache::Lookup ShardedTreeCache::get_or_build(
     promise.set_exception(std::current_exception());
     throw;
   }
-  counters_.build_ns.record_ns(elapsed_ns(build_start));
 
   lock.lock();
   const std::size_t evicted_before = shard.lru.evictions();

@@ -52,7 +52,6 @@ TEST(MapPlan, OdometerGeometryMatchesTheMaximalTree) {
   for (std::size_t i = 0; i < plan.slots.size(); ++i) {
     const MapPlan::Slot& s = plan.slots[i];
     ASSERT_NE(s.pus, nullptr);
-    EXPECT_TRUE(plan.avail_bit(s.pos));
     EXPECT_EQ(s.skips_before, 0u) << i;
     if (i > 0) {
       EXPECT_LT(plan.slots[i - 1].pos, s.pos);

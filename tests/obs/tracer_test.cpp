@@ -204,10 +204,10 @@ TEST(Tracer, StartedAndAssembledCountersTrackEnds) {
 
 TEST(TraceScope, BeginsOnlyWhenNoTraceIsActive) {
   Tracer tracer(always_config());
-  TraceScope outer(&tracer);
+  TraceScope outer(nullptr, &tracer);
   EXPECT_NE(outer.id(), 0u);
   {
-    TraceScope inner(&tracer);  // nested: must not start a second trace
+    TraceScope inner(nullptr, &tracer);  // nested: no second trace
     EXPECT_EQ(inner.id(), 0u);
     EXPECT_EQ(current_trace_id(), outer.id());
   }
@@ -216,7 +216,7 @@ TEST(TraceScope, BeginsOnlyWhenNoTraceIsActive) {
 }
 
 TEST(TraceScope, NullTracerIsInert) {
-  TraceScope scope(nullptr);
+  TraceScope scope(nullptr, nullptr);
   EXPECT_EQ(scope.id(), 0u);
   EXPECT_EQ(current_trace_id(), 0u);
 }
@@ -225,7 +225,7 @@ TEST(TraceScope, DefaultOutcomeRecordsAFailure) {
   Tracer tracer(always_config());
   std::uint64_t id = 0;
   {
-    TraceScope scope(&tracer);
+    TraceScope scope(nullptr, &tracer);
     id = scope.id();
     // No set_outcome: simulates an exception unwinding through the scope.
   }
@@ -236,8 +236,9 @@ TEST(TraceScope, DefaultOutcomeRecordsAFailure) {
 
 TEST(TraceScope, TransportTracesSkipRequestHistogramAndTailGate) {
   Tracer tracer(always_config());
+  StageStats stats;  // the service's histograms, in a service
   {
-    TraceScope scope(&tracer, /*transport=*/true);
+    TraceScope scope(&stats, &tracer, /*transport=*/true);
     const std::uint64_t t0 = monotonic_ns();
     while (monotonic_ns() == t0) {
     }
@@ -245,20 +246,60 @@ TEST(TraceScope, TransportTracesSkipRequestHistogramAndTailGate) {
   }
   // Connection plumbing: neither the request-stage histogram nor the tail
   // gate's duration estimate saw the transport trace.
-  EXPECT_EQ(tracer.stage_stats().histogram(Stage::kRequest).count(), 0u);
+  EXPECT_EQ(stats.histogram(Stage::kRequest).snapshot().count, 0u);
   EXPECT_EQ(tracer.tail_threshold_ns(), 0u);
   {
-    TraceScope scope(&tracer);
+    TraceScope scope(&stats, &tracer);
     const std::uint64_t t0 = monotonic_ns();
     while (monotonic_ns() == t0) {
     }
     scope.set_outcome(Outcome::kOk);
   }
-  EXPECT_EQ(tracer.stage_stats().histogram(Stage::kRequest).count(), 1u);
+  EXPECT_EQ(stats.histogram(Stage::kRequest).snapshot().count, 1u);
   EXPECT_GT(tracer.tail_threshold_ns(), 0u);
   // Transport traces still assemble under sampling, so TRACE can resolve
   // connection-level spans (accept, net-read) when asked.
   EXPECT_EQ(tracer.assembled(), 2u);
+}
+
+TEST(TraceScope, StagesRecordWithoutATracerAndNestedScopesCountOneRoot) {
+  StageStats stats;
+  {
+    TraceScope outer(&stats, nullptr);
+    TraceScope inner(&stats, nullptr);  // nested: owns no root
+    EXPECT_EQ(current_trace_id(), 0u);  // no tracer, no trace
+    const SpanScope map(Stage::kMap);
+    outer.set_outcome(Outcome::kOk);
+  }
+  EXPECT_EQ(stats.histogram(Stage::kRequest).snapshot().count, 1u);
+  EXPECT_EQ(stats.histogram(Stage::kMap).snapshot().count, 1u);
+  // Closing restored the thread's context: spans outside record nowhere.
+  EXPECT_EQ(span_begin(), 0u);
+  { const SpanScope outside(Stage::kMap); }
+  EXPECT_EQ(stats.histogram(Stage::kMap).snapshot().count, 1u);
+}
+
+TEST(TraceScope, UnsampledTracesRecordStagesButNoExemplarsOrSpans) {
+  TracerConfig config;
+  config.sample_every = 0;  // head sampling off: healthy traces unsampled
+  Tracer tracer(config);
+  StageStats stats;
+  std::uint64_t id = 0;
+  {
+    TraceScope scope(&stats, &tracer);
+    id = scope.id();
+    const SpanScope map(Stage::kMap);
+    scope.set_outcome(Outcome::kOk);
+  }
+  EXPECT_NE(id, 0u);
+  EXPECT_EQ(stats.histogram(Stage::kMap).snapshot().count, 1u);
+  EXPECT_EQ(stats.histogram(Stage::kRequest).snapshot().count, 1u);
+  for (std::size_t b = 0; b < StageStats::kNumBuckets; ++b) {
+    EXPECT_EQ(stats.exemplar(Stage::kMap, b).trace_id, 0u) << b;
+    EXPECT_EQ(stats.exemplar(Stage::kRequest, b).trace_id, 0u) << b;
+  }
+  EXPECT_EQ(tracer.assembled(), 0u);
+  EXPECT_FALSE(tracer.recorder().by_id(id).has_value());
 }
 
 TEST(FlightRecorder, EvictsOldestBeyondCapacityButKeepsFailuresSeparately) {

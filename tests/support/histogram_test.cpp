@@ -9,23 +9,20 @@ namespace lama {
 namespace {
 
 TEST(LatencyHistogram, EmptyIsZero) {
-  LatencyHistogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.sum_ns(), 0u);
-  EXPECT_EQ(h.max_ns(), 0u);
-  EXPECT_EQ(h.percentile_ns(50), 0u);
-  EXPECT_DOUBLE_EQ(h.mean_ns(), 0.0);
+  const LatencyHistogram::Snapshot s = LatencyHistogram{}.snapshot();
+  EXPECT_EQ(s.count, 0u);
+  EXPECT_EQ(s.sum_ns, 0u);
+  for (const std::uint64_t b : s.buckets) EXPECT_EQ(b, 0u);
 }
 
-TEST(LatencyHistogram, CountSumMaxMean) {
+TEST(LatencyHistogram, CountAndSum) {
   LatencyHistogram h;
   h.record_ns(100);
   h.record_ns(200);
   h.record_ns(300);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_EQ(h.sum_ns(), 600u);
-  EXPECT_EQ(h.max_ns(), 300u);
-  EXPECT_DOUBLE_EQ(h.mean_ns(), 200.0);
+  const LatencyHistogram::Snapshot s = h.snapshot();
+  EXPECT_EQ(s.count, 3u);
+  EXPECT_EQ(s.sum_ns, 600u);
 }
 
 TEST(LatencyHistogram, BucketBoundaries) {
@@ -35,46 +32,17 @@ TEST(LatencyHistogram, BucketBoundaries) {
   h.record_ns(2);  // bucket 2: [2, 4)
   h.record_ns(3);  // bucket 2
   h.record_ns(4);  // bucket 3: [4, 8)
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(2), 2u);
-  EXPECT_EQ(h.bucket(3), 1u);
-}
-
-TEST(LatencyHistogram, PercentileIsMonotonicAndBounding) {
-  LatencyHistogram h;
-  for (std::uint64_t ns = 1; ns <= 1000; ++ns) h.record_ns(ns);
-  const std::uint64_t p50 = h.percentile_ns(50);
-  const std::uint64_t p90 = h.percentile_ns(90);
-  const std::uint64_t p100 = h.percentile_ns(100);
-  EXPECT_LE(p50, p90);
-  EXPECT_LE(p90, p100);
-  // The p50 bucket upper bound must cover the true median (500)...
-  EXPECT_GE(p50, 500u);
-  // ...but stay within one power-of-two of it.
-  EXPECT_LE(p50, 1023u);
+  const LatencyHistogram::Snapshot s = h.snapshot();
+  EXPECT_EQ(s.buckets[0], 1u);
+  EXPECT_EQ(s.buckets[1], 1u);
+  EXPECT_EQ(s.buckets[2], 2u);
+  EXPECT_EQ(s.buckets[3], 1u);
 }
 
 TEST(LatencyHistogram, HugeSampleSaturatesLastBucket) {
   LatencyHistogram h;
   h.record_ns(~0ULL);
-  EXPECT_EQ(h.bucket(LatencyHistogram::kNumBuckets - 1), 1u);
-  EXPECT_EQ(h.max_ns(), ~0ULL);
-}
-
-TEST(LatencyHistogram, ResetClears) {
-  LatencyHistogram h;
-  h.record_ns(42);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.max_ns(), 0u);
-  EXPECT_EQ(h.bucket(6), 0u);
-}
-
-TEST(LatencyHistogram, SummaryMentionsCount) {
-  LatencyHistogram h;
-  h.record_ns(5000);
-  EXPECT_NE(h.summary().find("count=1"), std::string::npos);
+  EXPECT_EQ(h.snapshot().buckets[LatencyHistogram::kNumBuckets - 1], 1u);
 }
 
 TEST(LatencyHistogram, SnapshotIsInternallyConsistent) {
@@ -87,7 +55,6 @@ TEST(LatencyHistogram, SnapshotIsInternallyConsistent) {
   std::uint64_t total = 0;
   for (const std::uint64_t b : s.buckets) total += b;
   EXPECT_EQ(s.count, total);  // count recomputed from buckets
-  EXPECT_EQ(s.max_ns, ~0ULL);
   EXPECT_EQ(s.buckets[0], 1u);
   EXPECT_EQ(s.buckets[LatencyHistogram::kNumBuckets - 1], 1u);
 }
@@ -96,18 +63,6 @@ TEST(LatencyHistogram, SnapshotOfEmptyHistogram) {
   const LatencyHistogram::Snapshot s = LatencyHistogram{}.snapshot();
   EXPECT_EQ(s.count, 0u);
   EXPECT_EQ(s.sum_ns, 0u);
-  EXPECT_EQ(s.percentile_ns(50), 0u);
-  EXPECT_EQ(s.percentile_ns(100), 0u);
-  EXPECT_DOUBLE_EQ(s.mean_ns(), 0.0);
-}
-
-TEST(LatencyHistogram, SnapshotPercentilesMatchLive) {
-  LatencyHistogram h;
-  for (std::uint64_t ns = 1; ns <= 1000; ++ns) h.record_ns(ns);
-  const LatencyHistogram::Snapshot s = h.snapshot();
-  for (const double p : {0.0, 50.0, 90.0, 99.0, 100.0}) {
-    EXPECT_EQ(s.percentile_ns(p), h.percentile_ns(p)) << "p=" << p;
-  }
 }
 
 TEST(LatencyHistogram, BucketBoundIsInclusiveUpperBound) {
@@ -119,82 +74,9 @@ TEST(LatencyHistogram, BucketBoundIsInclusiveUpperBound) {
   LatencyHistogram h;
   h.record_ns(7);
   h.record_ns(8);
-  EXPECT_EQ(h.bucket(3), 1u);
-  EXPECT_EQ(h.bucket(4), 1u);
-}
-
-TEST(LatencyHistogram, MergeAddsBucketsAndAggregates) {
-  LatencyHistogram a, b;
-  a.record_ns(10);
-  a.record_ns(100);
-  b.record_ns(100);
-  b.record_ns(5000);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 4u);
-  EXPECT_EQ(a.sum_ns(), 5210u);
-  EXPECT_EQ(a.max_ns(), 5000u);
-  const LatencyHistogram::Snapshot s = a.snapshot();
-  std::uint64_t total = 0;
-  for (const std::uint64_t bucket : s.buckets) total += bucket;
-  EXPECT_EQ(total, 4u);
-}
-
-TEST(LatencyHistogram, MergeEmptyIsIdentity) {
-  LatencyHistogram a;
-  a.record_ns(42);
-  a.merge(LatencyHistogram{});
-  EXPECT_EQ(a.count(), 1u);
-  EXPECT_EQ(a.max_ns(), 42u);
-  LatencyHistogram empty;
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_EQ(empty.sum_ns(), 42u);
-  EXPECT_EQ(empty.max_ns(), 42u);
-}
-
-TEST(LatencyHistogram, MergeSnapshotMatchesMergeLive) {
-  LatencyHistogram a1, a2, b;
-  for (std::uint64_t ns : {3u, 70u, 900u, 12345u}) {
-    a1.record_ns(ns);
-    a2.record_ns(ns);
-    b.record_ns(ns * 2);
-  }
-  a1.merge(b);
-  a2.merge(b.snapshot());
-  EXPECT_EQ(a1.count(), a2.count());
-  EXPECT_EQ(a1.sum_ns(), a2.sum_ns());
-  EXPECT_EQ(a1.max_ns(), a2.max_ns());
-  for (std::size_t i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
-    EXPECT_EQ(a1.bucket(i), a2.bucket(i)) << "bucket " << i;
-  }
-}
-
-TEST(LatencyHistogram, MergeSaturatedBuckets) {
-  LatencyHistogram a, b;
-  a.record_ns(~0ULL);
-  b.record_ns(~0ULL - 1);
-  a.merge(b);
-  EXPECT_EQ(a.bucket(LatencyHistogram::kNumBuckets - 1), 2u);
-  EXPECT_EQ(a.max_ns(), ~0ULL);
-}
-
-TEST(LatencyHistogram, ConcurrentMergeAndRecordUnderTsan) {
-  // Wait-free writers racing a merge reader/writer: run under TSan this
-  // documents that merge() and record_ns() are safe to interleave.
-  LatencyHistogram target;
-  LatencyHistogram source;
-  for (int i = 0; i < 1000; ++i) source.record_ns(static_cast<uint64_t>(i));
-  std::thread recorder([&target] {
-    for (int i = 1; i <= 5000; ++i) {
-      target.record_ns(static_cast<std::uint64_t>(i));
-    }
-  });
-  std::thread merger([&target, &source] {
-    for (int i = 0; i < 10; ++i) target.merge(source);
-  });
-  recorder.join();
-  merger.join();
-  EXPECT_EQ(target.count(), 5000u + 10u * 1000u);
+  const LatencyHistogram::Snapshot s = h.snapshot();
+  EXPECT_EQ(s.buckets[3], 1u);
+  EXPECT_EQ(s.buckets[4], 1u);
 }
 
 TEST(LatencyHistogram, ConcurrentRecordsAllLand) {
@@ -211,8 +93,10 @@ TEST(LatencyHistogram, ConcurrentRecordsAllLand) {
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads * kPerThread));
-  EXPECT_EQ(h.max_ns(), static_cast<std::uint64_t>(kPerThread));
+  const LatencyHistogram::Snapshot s = h.snapshot();
+  EXPECT_EQ(s.count, static_cast<std::uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(s.sum_ns, static_cast<std::uint64_t>(kThreads) * kPerThread *
+                          (kPerThread + 1) / 2);
 }
 
 }  // namespace

@@ -1,20 +1,25 @@
 // STATS <-> Prometheus parity: both renderings are views of the same
-// counters, and every counter must be visible — with the same value — in
-// both. The test drives one workload through a quiesced single-threaded
-// session, takes STATS and METRICS back to back, and audits the mapping in
-// both directions: every mapped STATS key must appear in the exposition
-// with an equal value, and every exported lama_*_total scalar must be the
-// target of some STATS key, so a counter added to one surface cannot
-// silently skip the other.
+// metrics snapshot, and every counter must be visible — with the same value
+// — in both. The test drives one workload through a quiesced
+// single-threaded session, takes STATS and METRICS back to back, and audits
+// the mapping in both directions: every mapped STATS key must appear in the
+// exposition with an equal value, every `_us` key must be its stage's
+// quantile of the exposition's stage histogram, and every exported
+// lama_*_total scalar must be the target of some STATS key, so a counter
+// added to one surface cannot silently skip the other.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/mini_prom.hpp"
+#include "obs/metrics.hpp"
 #include "support/strings.hpp"
 #include "svc/protocol.hpp"
 #include "svc/service.hpp"
@@ -83,6 +88,26 @@ const std::vector<std::pair<std::string, std::string>>& parity_pairs() {
   return pairs;
 }
 
+// Each `_us` STATS key: the stage of lama_stage_latency_ns it reads, and
+// the quantile.
+const std::vector<std::tuple<std::string, std::string, double>>&
+stage_quantile_keys() {
+  static const std::vector<std::tuple<std::string, std::string, double>>
+      keys = {
+          {"map_p50_us", "map_walk", 0.5},
+          {"map_p99_us", "map_walk", 0.99},
+          {"build_p99_us", "tree_build", 0.99},
+          {"total_p99_us", "request", 0.99},
+          {"lookup_p50_us", "cache_lookup", 0.5},
+          {"lookup_p99_us", "cache_lookup", 0.99},
+          {"plan_compile_p99_us", "plan_compile", 0.99},
+          {"compiled_map_p50_us", "plan_exec", 0.5},
+          {"compiled_map_p99_us", "plan_exec", 0.99},
+          {"opt_p99_us", "optimize", 0.99},
+      };
+  return keys;
+}
+
 TEST(MetricsParity, EveryCounterAgreesAcrossStatsAndPrometheus) {
   ServiceConfig config;
   config.workers = 0;
@@ -110,8 +135,16 @@ TEST(MetricsParity, EveryCounterAgreesAcrossStatsAndPrometheus) {
       test::parse_prometheus(execute(session, "METRICS"));
 
   std::map<std::string, double> scalars;
+  std::map<std::string, std::vector<std::pair<double, double>>> stages;
   for (const test::PromSample& s : samples) {
     if (s.labels.empty()) scalars[s.name] = s.value;
+    if (s.name == "lama_stage_latency_ns_bucket") {
+      const std::string& le = s.labels.at("le");
+      stages[s.labels.at("stage")].emplace_back(
+          le == "+Inf" ? std::numeric_limits<double>::infinity()
+                       : std::stod(le),
+          s.value);
+    }
   }
 
   // Direction 1: every mapped STATS key is exported with the same value.
@@ -123,6 +156,18 @@ TEST(MetricsParity, EveryCounterAgreesAcrossStatsAndPrometheus) {
   }
   EXPECT_GT(scalars.at("lama_requests_total"), 0.0);
   EXPECT_GT(scalars.at("lama_opt_hits_total"), 0.0);
+
+  // Direction 1b: every `_us` key is its stage's quantile, in µs with three
+  // decimals. The workload ran every one of those stages.
+  for (const auto& [stats_key, stage, q] : stage_quantile_keys()) {
+    ASSERT_TRUE(stats.count(stats_key)) << stats_key;
+    ASSERT_TRUE(stages.count(stage)) << stage;
+    char expected[32];
+    std::snprintf(expected, sizeof(expected), "%.3f",
+                  obs::bucket_quantile(stages.at(stage), q) / 1000.0);
+    EXPECT_EQ(stats.at(stats_key), expected) << stats_key;
+    EXPECT_GT(std::stod(stats.at(stats_key)), 0.0) << stats_key;
+  }
 
   // Direction 2a: every exported lama_*_total scalar traces back to a
   // STATS key — a counter cannot exist in the exposition only.
@@ -140,15 +185,17 @@ TEST(MetricsParity, EveryCounterAgreesAcrossStatsAndPrometheus) {
   }
 
   // Direction 2b: every STATS key traces forward. Keys outside the table
-  // must belong to one of the known non-counter groups: microsecond
-  // percentile digests (exported as summary quantiles, not scalars), the
-  // uptime gauge (changes between the two reads), and the per-verb SLO
-  // keys (exported as labeled families, checked below).
+  // must belong to one of the known non-counter groups: the stage
+  // quantiles (checked above), the uptime gauge (changes between the two
+  // reads), and the per-verb SLO keys (exported as labeled families,
+  // checked below).
   for (const auto& [key, value] : stats) {
     if (key == "uptime_s") continue;
-    if (key.size() > 3 && key.compare(key.size() - 3, 3, "_us") == 0) {
-      continue;
+    bool stage_key = false;
+    for (const auto& [stats_key, stage, q] : stage_quantile_keys()) {
+      if (stats_key == key) stage_key = true;
     }
+    if (stage_key) continue;
     if (starts_with(key, "slo_")) continue;
     bool mapped = false;
     for (const auto& [stats_key, metric] : parity_pairs()) {

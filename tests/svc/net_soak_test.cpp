@@ -151,6 +151,36 @@ TEST(NetSoak, PipelinedClientsAccountExactlyOnce) {
             load(net.text_requests) + load(net.binary_requests));
 }
 
+TEST(NetSoak, TransportStagesTimeEveryRequestWithoutATracer) {
+  TestServer server;
+  ASSERT_EQ(server.service().tracer(), nullptr);
+  constexpr std::size_t kRequests = 40;
+  {
+    BlockingClient client(server.port());
+    std::string burst = figure2_node_line("a") + "\n";
+    for (std::size_t i = 1; i < kRequests; ++i) {
+      burst += "MAP a " + std::to_string(1 + i % 8) + " lama:scbnh\n";
+    }
+    ASSERT_TRUE(client.send_all(burst));
+    std::string line;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      ASSERT_TRUE(client.read_line(line)) << i;
+      EXPECT_TRUE(starts_with(line, "OK")) << line;
+    }
+  }
+  server.server().stop();  // the loop thread is done writing the stages
+
+  const obs::StageStats& stats = server.service().stage_stats();
+  const auto count = [&stats](obs::Stage stage) {
+    return stats.histogram(stage).snapshot().count;
+  };
+  EXPECT_EQ(count(obs::Stage::kDispatch), kRequests);
+  EXPECT_GT(count(obs::Stage::kNetRead), 0u);
+  EXPECT_GT(count(obs::Stage::kNetWrite), 0u);
+  // The NODE line opens no request scope; each MAP line opens one.
+  EXPECT_EQ(count(obs::Stage::kRequest), kRequests - 1);
+}
+
 TEST(NetSoak, InterleavedConnectDisconnectStaysBalanced) {
   // Churn: short-lived connections (some quitting cleanly, some just
   // closing) interleaved with a long-lived pipeliner. accepted must equal

@@ -1,12 +1,15 @@
 // Service-level observability tests: the METRICS verb parses with a
-// Prometheus text-format parser, STATS carries the audited key set in both
-// renderings, the TRACE verb returns schema-valid Chrome trace-event JSON,
+// Prometheus text-format parser, STATS carries the audited key set, the
+// stage histograms count every request with or without a tracer and STATS
+// reads its quantiles from them, the TRACE verb returns schema-valid Chrome
+// trace-event JSON,
 // traces capture the pipeline stages (including the compiled kernel's plan
 // spans and MAPBATCH job parenting), and a fault-injected failure always
 // reaches the flight recorder and its dump sink regardless of sampling.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -17,6 +20,7 @@
 #include "common/mini_json.hpp"
 #include "common/mini_prom.hpp"
 #include "obs/chrome.hpp"
+#include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "support/strings.hpp"
 #include "svc/protocol.hpp"
@@ -100,8 +104,12 @@ TEST(ObsService, MetricsVerbParsesWithPrometheusParser) {
       test::parse_prometheus(exposition);  // throws on malformed output
 
   std::map<std::string, double> scalars;
+  std::map<std::string, double> stage_counts;
   for (const test::PromSample& sample : samples) {
     if (sample.labels.empty()) scalars[sample.name] = sample.value;
+    if (sample.name == "lama_stage_latency_ns_count") {
+      stage_counts[sample.labels.at("stage")] = sample.value;
+    }
   }
   EXPECT_EQ(scalars.at("lama_requests_total"), 3.0);
   EXPECT_EQ(scalars.at("lama_completed_total"), 3.0);
@@ -109,9 +117,10 @@ TEST(ObsService, MetricsVerbParsesWithPrometheusParser) {
   EXPECT_EQ(scalars.at("lama_cache_misses_total"), 1.0);
   EXPECT_EQ(scalars.at("lama_uncached_total"), 1.0);
   EXPECT_EQ(scalars.at("lama_cache_trees"), 1.0);
+  EXPECT_EQ(scalars.at("lama_inflight_requests"), 0.0);  // quiesced
   EXPECT_GE(scalars.at("lama_uptime_seconds"), 0.0);
   EXPECT_EQ(scalars.at("lama_traces_started_total"), 3.0);
-  EXPECT_EQ(scalars.at("lama_lookup_ns_count"), 2.0);
+  EXPECT_EQ(stage_counts.at("cache_lookup"), 2.0);
 
   // The labeled per-layout and per-alloc series are present.
   bool saw_layout = false, saw_alloc = false;
@@ -172,10 +181,65 @@ TEST(ObsService, StatsLineCarriesTheAuditedKeys) {
         "traces_started=", "trace_dumps="}) {
     EXPECT_NE(stats.find(key), std::string::npos) << key;
   }
-  const std::string rendered = service.render_stats();
-  for (const char* needle :
-       {"uptime", "cached trees", "inflight", "tracing"}) {
-    EXPECT_NE(rendered.find(needle), std::string::npos) << needle;
+}
+
+// N MAP lines through the protocol; the first builds the tree and compiles
+// the plan, the rest are warm. Returns the stage counts METRICS reports and
+// checks that STATS' map_p50_us is METRICS' map_walk p50 in µs.
+std::map<std::string, double> stage_counts_after_maps(ServiceConfig config,
+                                                      int n) {
+  MappingService service(config);
+  ProtocolSession session(service);
+  execute(session, node_line("a"));
+  for (int i = 0; i < n; ++i) {
+    EXPECT_TRUE(starts_with(execute(session, "MAP a 8 lama:scbnh"), "OK"));
+  }
+  const std::string stats = execute(session, "STATS");
+  std::map<std::string, double> counts;
+  std::vector<std::pair<double, double>> map_walk;
+  for (const test::PromSample& s :
+       test::parse_prometheus(execute(session, "METRICS"))) {
+    if (s.name == "lama_stage_latency_ns_count") {
+      counts[s.labels.at("stage")] = s.value;
+    }
+    if (s.name == "lama_stage_latency_ns_bucket" &&
+        s.labels.at("stage") == "map_walk") {
+      map_walk.emplace_back(s.labels.at("le") == "+Inf"
+                                ? std::numeric_limits<double>::infinity()
+                                : std::stod(s.labels.at("le")),
+                            s.value);
+    }
+  }
+  const double p50_ns = obs::bucket_quantile(map_walk, 0.5);
+  EXPECT_GT(p50_ns, 0.0);
+  const std::size_t at = stats.find(" map_p50_us=");
+  EXPECT_NE(at, std::string::npos) << stats;
+  EXPECT_EQ(std::stod(stats.substr(at + 12)), p50_ns / 1000.0) << stats;
+  return counts;
+}
+
+TEST(ObsService, StageHistogramsCountEveryRequestWithoutATracer) {
+  ServiceConfig config;
+  config.workers = 0;
+  ASSERT_EQ(config.flight_recorder, 0u);
+  const auto counts = stage_counts_after_maps(config, 501);
+  for (const char* stage : {"request", "cache_lookup", "map_walk",
+                            "plan_exec"}) {
+    EXPECT_EQ(counts.at(stage), 501.0) << stage;
+  }
+  EXPECT_EQ(counts.at("tree_build"), 1.0);
+  EXPECT_EQ(counts.at("plan_compile"), 1.0);
+}
+
+TEST(ObsService, StageHistogramsCountEveryRequestAtDefaultSampling) {
+  ServiceConfig config;
+  config.workers = 0;
+  config.flight_recorder = 16;
+  ASSERT_EQ(config.trace_sample, 64u);
+  const auto counts = stage_counts_after_maps(config, 501);
+  for (const char* stage : {"request", "cache_lookup", "map_walk",
+                            "plan_exec"}) {
+    EXPECT_EQ(counts.at(stage), 501.0) << stage;
   }
 }
 
@@ -476,9 +540,6 @@ TEST(ObsService, SloObjectivesSurfaceInStatsAndMetrics) {
   EXPECT_GT(by_verb.at("mapbatch").at("lama_slo_burn_rate:fast"), 1.0);
   EXPECT_DOUBLE_EQ(by_verb.at("query").at("lama_slo_burn_rate:fast"), 0.0);
   EXPECT_EQ(service.slo().breaches(), 1u);
-
-  // The human rendering mentions the objectives too.
-  EXPECT_NE(service.render_stats().find("slo      query"), std::string::npos);
 }
 
 TEST(ObsService, ShedRequestsCountAgainstTheSlo) {

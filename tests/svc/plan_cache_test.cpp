@@ -2,8 +2,8 @@
 // hit/miss accounting against the shared (fingerprint, layout) keys, the
 // space limit's silent refusal, seal-verification recompiles, targeted
 // invalidation, the compile_plans/custom-policy bypasses, and the new
-// counters in every exposition format (STATS keys, render lines, metrics
-// names). Byte-identity of what the compiled path serves is pinned down by
+// counters in every exposition format (STATS keys, metrics names and stage
+// series). Byte-identity of what the compiled path serves is pinned down by
 // the kernel suite; here we assert the service serves it from the cache.
 #include <gtest/gtest.h>
 
@@ -30,13 +30,19 @@ TEST(PlanCache, MissCompilesThenHitsServeTheSamePlan) {
   PlanCacheFixtures f;
   Counters counters;
   PlanCache cache(4, 8, 0, counters);
+  obs::StageStats stats;
 
-  const PlanCache::Lookup miss = cache.get_or_compile(f.key, f.tree, true);
+  PlanCache::Lookup miss;
+  {
+    // The compile is timed into whatever stats the request scope installs.
+    const obs::TraceScope scope(&stats, nullptr);
+    miss = cache.get_or_compile(f.key, f.tree, true);
+  }
   ASSERT_NE(miss.plan, nullptr);
   EXPECT_FALSE(miss.hit);
   EXPECT_EQ(counters.plan_misses.load(), 1u);
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_GE(counters.plan_compile_ns.count(), 1u);
+  EXPECT_EQ(stats.histogram(obs::Stage::kPlanCompile).snapshot().count, 1u);
 
   const PlanCache::Lookup hit = cache.get_or_compile(f.key, f.tree, true);
   EXPECT_TRUE(hit.hit);
@@ -126,7 +132,9 @@ TEST(PlanCacheService, WarmRequestsHitCompiledPlans) {
   EXPECT_EQ(service.counters().plan_hits.load(), 1u);
   // The compiled walk is what lama_map would have produced.
   test::expect_identical_mappings(cold.mapping, warm.mapping, "warm");
-  EXPECT_GE(service.counters().compiled_map_ns.count(), 2u);
+  EXPECT_EQ(
+      service.stage_stats().histogram(obs::Stage::kPlanExec).snapshot().count,
+      2u);
 }
 
 TEST(PlanCacheService, CompilePlansOffKeepsTheReferencePath) {
@@ -141,7 +149,9 @@ TEST(PlanCacheService, CompilePlansOffKeepsTheReferencePath) {
   EXPECT_EQ(service.cached_plans(), 0u);
   EXPECT_EQ(service.counters().plan_hits.load(), 0u);
   EXPECT_EQ(service.counters().plan_misses.load(), 0u);
-  EXPECT_EQ(service.counters().compiled_map_ns.count(), 0u);
+  EXPECT_EQ(
+      service.stage_stats().histogram(obs::Stage::kPlanExec).snapshot().count,
+      0u);
 }
 
 TEST(PlanCacheService, CustomIterationPolicyBypassesThePlanCache) {
@@ -192,18 +202,15 @@ TEST(PlanCacheService, CountersAppearInEveryExposition) {
     EXPECT_NE(stats.find(key), std::string::npos) << key << "\n" << stats;
   }
 
-  // lamactl stats renders this form: the hit ratio must be visible.
-  const std::string rendered = service.render_stats();
-  EXPECT_NE(rendered.find("plan cache  hits 1, misses 1, hit ratio 50.0%"),
-            std::string::npos)
-      << rendered;
-  EXPECT_NE(rendered.find("cached plans 1"), std::string::npos) << rendered;
-
+  // The compile and the two executions are the plan_compile and plan_exec
+  // stage series.
   const obs::MetricsSnapshot snap = service.metrics_snapshot();
   const std::string prom = snap.to_prometheus();
   for (const char* name :
        {"lama_plan_cache_hits_total 1", "lama_plan_cache_misses_total 1",
-        "lama_cache_plans 1", "lama_plan_compile_ns", "lama_compiled_map_ns"}) {
+        "lama_cache_plans 1",
+        "lama_stage_latency_ns_count{stage=\"plan_compile\"} 1",
+        "lama_stage_latency_ns_count{stage=\"plan_exec\"} 2"}) {
     EXPECT_NE(prom.find(name), std::string::npos) << name << "\n" << prom;
   }
 }

@@ -172,6 +172,15 @@ TEST(ShardServer, FourShardSoakAccountsExactlyOnce) {
             server.sum(&NetCounters::text_requests) +
                 server.sum(&NetCounters::binary_requests));
   EXPECT_EQ(server.server().limiter().active(), 0u);
+  // The four loops time their dispatches into the service's one stage
+  // histogram: every dispatch not shed for backpressure counts once.
+  EXPECT_EQ(server.service()
+                .stage_stats()
+                .histogram(obs::Stage::kDispatch)
+                .snapshot()
+                .count,
+            server.server().dispatched() -
+                server.sum(&NetCounters::shed_backpressure));
 }
 
 TEST(ShardServer, ConnectionCapIsGlobalAcrossShards) {

@@ -15,7 +15,6 @@
 //     lamactl serve --workers 8 --stats
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -261,7 +260,9 @@ int run_serve(const std::vector<std::string>& args) {
                  server.bound_address().to_string().c_str(), shards,
                  shard_affinity.empty() ? "" : " (affinity mapped)");
     server.run(stop);
-    if (stats) std::fputs(service.render_stats().c_str(), stderr);
+    if (stats) {
+      std::fprintf(stderr, "STATS %s\n", service.stats_line().c_str());
+    }
   } else if (!listen_addr.empty()) {
     // Socket mode: the epoll event loop serves many keep-alive connections,
     // text or binary framing per connection (docs/service.md). The drain
@@ -275,7 +276,9 @@ int run_serve(const std::vector<std::string>& args) {
     std::fprintf(stderr, "lamactl: listening on %s\n",
                  server.bound_address().to_string().c_str());
     server.run(stop);
-    if (stats) std::fputs(service.render_stats().c_str(), stderr);
+    if (stats) {
+      std::fprintf(stderr, "STATS %s\n", service.stats_line().c_str());
+    }
   } else {
     svc::serve(std::cin, std::cout, session, service, stats, stop);
   }
@@ -414,7 +417,7 @@ int run_query(const std::vector<std::string>& args) {
                   static_cast<unsigned long long>(result.total_backoff_ms));
     }
     if (stats) {
-      std::printf("%s", service.render_stats().c_str());
+      std::printf("STATS %s\n", service.stats_line().c_str());
     }
     if (result.gave_up_busy) return kExitBusy;
     return result.ok() ? 0 : 1;
@@ -600,7 +603,7 @@ int run_mapbatch(const std::vector<std::string>& args) {
                 static_cast<unsigned long long>(result.total_backoff_ms));
   }
   if (stats) {
-    std::printf("%s", service.render_stats().c_str());
+    std::printf("STATS %s\n", service.stats_line().c_str());
   }
   if (result.gave_up_busy) return kExitBusy;
   return result.ok() ? 0 : 1;
@@ -720,7 +723,7 @@ int run_optimize(const std::vector<std::string>& args) {
   const std::string response = session.execute(command, more);
   std::fputs(response.c_str(), stdout);
   if (stats) {
-    std::printf("%s", service.render_stats().c_str());
+    std::printf("STATS %s\n", service.stats_line().c_str());
   }
   return starts_with(response, "OK") ? 0 : 1;
 }
@@ -955,7 +958,7 @@ int run_inject(const std::vector<std::string>& args) {
   std::printf("seed %llu: %s", static_cast<unsigned long long>(seed),
               outcome.report().c_str());
   if (stats) {
-    std::printf("%s", service.render_stats().c_str());
+    std::printf("STATS %s\n", service.stats_line().c_str());
   }
   return outcome.passed() ? 0 : 2;
 }
@@ -1050,7 +1053,7 @@ int run_stats(const std::vector<std::string>& args) {
   if (json) {
     std::printf("%s\n", service->metrics_snapshot().to_json().c_str());
   } else {
-    std::printf("%s", service->render_stats().c_str());
+    std::printf("STATS %s\n", service->stats_line().c_str());
   }
   return 0;
 }
@@ -1272,8 +1275,6 @@ struct TopModel {
   };
   std::map<std::string, SloRow> slo;
 
-  std::map<std::string, double> total_quantiles;  // "0.5" -> ns
-
   void ingest(const PromSample& s) {
     if (s.name == "lama_stage_latency_ns_bucket") {
       StageHist& h = stages[s.label("stage")];
@@ -1313,10 +1314,6 @@ struct TopModel {
       }
       return;
     }
-    if (s.name == "lama_total_ns" && !s.label("quantile").empty()) {
-      total_quantiles[s.label("quantile")] = s.value;
-      return;
-    }
     if (s.labels.empty()) scalar[s.name] = s.value;
   }
 
@@ -1325,17 +1322,11 @@ struct TopModel {
     return it == scalar.end() ? 0.0 : it->second;
   }
 
-  // Nearest-rank percentile from a stage's cumulative buckets: the upper
-  // bound of the first bucket whose cumulative count covers the rank.
-  [[nodiscard]] static double bucket_percentile(const StageHist& h, double p) {
-    if (h.count <= 0.0 || h.buckets.empty()) return 0.0;
-    const double rank = p * h.count;
-    double bound = 0.0;
-    for (const auto& [le, cum] : h.buckets) {
-      bound = le;
-      if (cum >= rank) break;
-    }
-    return std::isinf(bound) ? h.buckets.back().first : bound;
+  // A stage's quantile (q in [0, 1]) in ns; 0 before the stage first runs.
+  [[nodiscard]] double quantile(const std::string& stage, double q) const {
+    const auto it = stages.find(stage);
+    return it == stages.end() ? 0.0
+                              : obs::bucket_quantile(it->second.buckets, q);
   }
 };
 
@@ -1396,16 +1387,13 @@ std::string render_top_frame(const TopModel& m, const std::string& where,
                 m.get("lama_inflight_requests"), qps_text);
   out << line;
 
-  const auto quant = [&](const char* q) {
-    const auto it = m.total_quantiles.find(q);
-    return it == m.total_quantiles.end() ? 0.0 : it->second;
-  };
+  // The request root's latency: a protocol line from parse to reply.
   std::snprintf(line, sizeof(line),
                 "latency  p50 %s   p90 %s   p99 %s   tail captured %.0f "
                 "(threshold %s)\n",
-                format_ns(quant("0.5")).c_str(),
-                format_ns(quant("0.9")).c_str(),
-                format_ns(quant("0.99")).c_str(),
+                format_ns(m.quantile("request", 0.5)).c_str(),
+                format_ns(m.quantile("request", 0.9)).c_str(),
+                format_ns(m.quantile("request", 0.99)).c_str(),
                 m.get("lama_traces_tail_total"),
                 format_ns(m.get("lama_tail_threshold_ns")).c_str());
   out << line;
@@ -1472,8 +1460,8 @@ std::string render_top_frame(const TopModel& m, const std::string& where,
       const TopModel::StageHist& h = *rows[i].second;
       std::snprintf(line, sizeof(line), "  %-15s %9.0f %9s %9s %10s\n",
                     rows[i].first.c_str(), h.count,
-                    format_ns(TopModel::bucket_percentile(h, 0.5)).c_str(),
-                    format_ns(TopModel::bucket_percentile(h, 0.99)).c_str(),
+                    format_ns(obs::bucket_quantile(h.buckets, 0.5)).c_str(),
+                    format_ns(obs::bucket_quantile(h.buckets, 0.99)).c_str(),
                     format_ns(h.count > 0 ? h.sum / h.count : 0.0).c_str());
       out << line;
     }
