@@ -45,9 +45,9 @@ void print_permutation_report() {
     ++sampled;
     const MappingResult m = lama_map(alloc, l, {.np = np});
     std::string key;
-    for (const Placement& p : m.placements) {
-      key += std::to_string(p.node) + ":" +
-             std::to_string(p.representative_pu()) + ";";
+    for (std::size_t r = 0; r < m.num_procs(); ++r) {
+      key += std::to_string(m.node(r)) + ":" +
+             std::to_string(m.representative_pu(r)) + ";";
     }
     distinct.insert(std::move(key));
   });

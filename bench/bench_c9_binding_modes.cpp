@@ -51,13 +51,13 @@ ModeResult run_mode(const Allocation& alloc, const MappingResult& mapping,
         evaluate_mapping(alloc, current, pattern, model).total_ns / 1e6;
     // OS scheduling decision between rounds: each rank whose allowed set
     // has more than one PU may be moved within it.
-    for (std::size_t r = 0; r < current.placements.size(); ++r) {
+    for (std::size_t r = 0; r < current.num_procs(); ++r) {
       const Bitmap& allowed = binding.bindings[r].cpuset;
       if (allowed.count() <= 1 || !rng.next_bool(kMigrationProb)) continue;
       const std::size_t choice = rng.next_below(allowed.count());
       const std::size_t pu = allowed.nth(choice);
-      if (pu != current.placements[r].representative_pu()) {
-        current.placements[r].target_pus = Bitmap::single(pu);
+      if (pu != current.representative_pu(r)) {
+        current.set_pus(r, Bitmap::single(pu));
         ++result.migrations;
         result.rewarm_ms += kRewarmNs / 1e6;
       }

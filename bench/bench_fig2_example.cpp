@@ -44,10 +44,11 @@ void print_figure2() {
           if (expected < 24) {
             cells.push_back(std::to_string(expected));
             // Verify the mapper agrees with the figure.
-            const Placement& p =
-                m.placements[static_cast<std::size_t>(expected)];
+            const auto rank = static_cast<std::size_t>(expected);
             const std::size_t pu = s * 8 + c * 2 + h;
-            if (p.node != n || p.representative_pu() != pu) ok = false;
+            if (m.node(rank) != n || m.representative_pu(rank) != pu) {
+              ok = false;
+            }
           } else {
             cells.push_back("-");
           }

@@ -55,14 +55,12 @@ bool identical(const MappingResult& a, const MappingResult& b) {
       a.skipped != b.skipped || a.pu_oversubscribed != b.pu_oversubscribed ||
       a.slot_oversubscribed != b.slot_oversubscribed ||
       a.procs_per_node != b.procs_per_node ||
-      a.placements.size() != b.placements.size()) {
+      a.num_procs() != b.num_procs()) {
     return false;
   }
-  for (std::size_t i = 0; i < a.placements.size(); ++i) {
-    if (a.placements[i].rank != b.placements[i].rank ||
-        a.placements[i].node != b.placements[i].node ||
-        !(a.placements[i].target_pus == b.placements[i].target_pus) ||
-        a.placements[i].coord != b.placements[i].coord) {
+  for (std::size_t r = 0; r < a.num_procs(); ++r) {
+    if (a.node(r) != b.node(r) || !a.pus(r).equals(b.pus(r)) ||
+        !std::ranges::equal(a.coord(r), b.coord(r))) {
       return false;
     }
   }

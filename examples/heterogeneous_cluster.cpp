@@ -54,10 +54,9 @@ int main() {
       m.num_procs(), m.sweeps, m.skipped);
 
   TextTable table({"rank", "node", "target PUs"});
-  for (const Placement& p : m.placements) {
-    table.add_row({std::to_string(p.rank),
-                   alloc.node(p.node).topo.name(),
-                   p.target_pus.to_string()});
+  for (std::size_t r = 0; r < m.num_procs(); ++r) {
+    table.add_row({std::to_string(r), alloc.node(m.node(r)).topo.name(),
+                   m.pus(r).to_string()});
   }
   std::printf("%s", table.to_string().c_str());
 

@@ -40,9 +40,8 @@ int main() {
         std::string cell[2] = {"-", "-"};
         for (const LaunchedProcess& p : plan.procs()) {
           if (p.node != n) continue;
-          const std::size_t pu =
-              plan.mapping().placements[static_cast<std::size_t>(p.rank)]
-                  .representative_pu();
+          const std::size_t pu = plan.mapping().representative_pu(
+              static_cast<std::size_t>(p.rank));
           if (pu / 8 == s && (pu % 8) / 2 == c) {
             cell[pu % 2] = std::to_string(p.rank);
           }

@@ -69,6 +69,7 @@ MappingResult map_by_slot(const Allocation& alloc, const MapOptions& opts) {
   MappingResult result;
   result.layout = "by-slot";
   result.procs_per_node.assign(alloc.num_nodes(), 0);
+  result.reset_ranks(opts.np, 1, 0);
 
   const std::vector<std::vector<Bitmap>> groups =
       pu_groups(alloc, opts.pus_per_proc);
@@ -87,11 +88,8 @@ MappingResult map_by_slot(const Allocation& alloc, const MapOptions& opts) {
           ++result.skipped;
           break;
         }
-        Placement p;
-        p.rank = static_cast<int>(rank);
-        p.node = node;
-        p.target_pus = group;
-        result.placements.push_back(std::move(p));
+        result.set_node(rank, node);
+        result.set_pus(rank, group);
         ++result.procs_per_node[node];
         ++rank;
         ++result.visited;
@@ -112,6 +110,7 @@ MappingResult map_by_node(const Allocation& alloc, const MapOptions& opts) {
   MappingResult result;
   result.layout = "by-node";
   result.procs_per_node.assign(alloc.num_nodes(), 0);
+  result.reset_ranks(opts.np, 1, 0);
 
   // Per-node cursor over PU groups; wraps independently per node.
   const std::vector<std::vector<Bitmap>> groups =
@@ -131,12 +130,9 @@ MappingResult map_by_node(const Allocation& alloc, const MapOptions& opts) {
         ++result.skipped;
         continue;
       }
-      Placement p;
-      p.rank = static_cast<int>(rank);
-      p.node = node;
-      p.target_pus = groups[node][cursor[node]];
+      result.set_node(rank, node);
+      result.set_pus(rank, groups[node][cursor[node]]);
       cursor[node] = (cursor[node] + 1) % groups[node].size();
-      result.placements.push_back(std::move(p));
       ++result.procs_per_node[node];
       ++rank;
       ++result.visited;

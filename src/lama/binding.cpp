@@ -110,7 +110,7 @@ BindingResult bind_processes(const Allocation& alloc,
   }
   BindingResult result;
   result.target = policy.target;
-  result.bindings.reserve(mapping.placements.size());
+  result.bindings.reserve(mapping.num_procs());
 
   // Per-node caches of online PU sets and per-object process counts for
   // overload detection. Keyed by (node, object).
@@ -122,18 +122,19 @@ BindingResult bind_processes(const Allocation& alloc,
 
   const std::optional<ResourceType> type = bind_target_type(policy.target);
 
-  for (const Placement& p : mapping.placements) {
-    const NodeTopology& topo = alloc.node(p.node).topo;
+  for (std::size_t rank = 0; rank < mapping.num_procs(); ++rank) {
+    const std::size_t node = mapping.node(rank);
+    const NodeTopology& topo = alloc.node(node).topo;
     ProcessBinding b;
-    b.rank = p.rank;
-    b.node = p.node;
+    b.rank = static_cast<int>(rank);
+    b.node = node;
 
     if (policy.target == BindTarget::kMapped) {
       // Bind exactly to the PUs the mapping assigned.
-      b.cpuset = p.target_pus;
-      b.cpuset &= online[p.node];
+      b.cpuset = Bitmap(mapping.pus(rank));
+      b.cpuset &= online[node];
       if (b.cpuset.empty()) {
-        throw MappingError("binding for rank " + std::to_string(p.rank) +
+        throw MappingError("binding for rank " + std::to_string(rank) +
                            " contains no online processing units");
       }
       b.width = b.cpuset.count();
@@ -142,20 +143,20 @@ BindingResult bind_processes(const Allocation& alloc,
     }
     if (!type.has_value()) {
       // No restriction: the process may run anywhere on its node.
-      b.cpuset = online[p.node];
+      b.cpuset = online[node];
       b.width = b.cpuset.count();
       result.bindings.push_back(std::move(b));
       continue;
     }
 
-    const std::size_t rep = p.representative_pu();
+    const std::size_t rep = mapping.representative_pu(rank);
     LAMA_ASSERT(rep != Bitmap::npos);
     const TopoObject* obj =
         resolve_bind_object(topo, rep, *type, policy.widen_if_missing);
     if (obj == nullptr) {
       throw MappingError("node '" + topo.name() + "' has no " +
                          std::string(resource_name(*type)) +
-                         " level to bind rank " + std::to_string(p.rank) +
+                         " level to bind rank " + std::to_string(rank) +
                          " to");
     }
 
@@ -175,13 +176,13 @@ BindingResult bind_processes(const Allocation& alloc,
         cpuset |= parent->child(start + i).cpuset();
       }
     }
-    cpuset &= online[p.node];
+    cpuset &= online[node];
     if (cpuset.empty()) {
-      throw MappingError("binding for rank " + std::to_string(p.rank) +
+      throw MappingError("binding for rank " + std::to_string(rank) +
                          " contains no online processing units");
     }
 
-    const std::size_t procs = ++load[{p.node, obj}];
+    const std::size_t procs = ++load[{node, obj}];
     if (procs > cpuset.count()) {
       result.overloaded = true;
       if (!policy.allow_overload) {

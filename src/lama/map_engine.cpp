@@ -46,6 +46,9 @@ PlacementEngine::PlacementEngine(const MaximalTree& mtree,
                                  const MapOptions& opts)
     : mtree_(mtree), opts_(opts) {
   result_.layout = layout.to_string();
+  // Placement fills every rank before take_result; set_pus widens the PU
+  // column if a node has more than 64 PUs.
+  result_.reset_ranks(opts.np, 1, layout.order().size());
   result_.procs_per_node.assign(mtree.num_nodes(), 0);
   pending_.resize(mtree.num_nodes());
   for (std::size_t cap : opts.resource_caps) {
@@ -100,12 +103,9 @@ void PlacementEngine::charge_caps(std::size_t node,
 void PlacementEngine::emit_placement(std::size_t node) {
   Pending& acc = pending_[node];
   if (caps_active_) charge_caps(node, acc.node_coord);
-  Placement p;
-  p.rank = static_cast<int>(rank_);
-  p.node = node;
-  p.target_pus = acc.pus;
-  p.coord = acc.coord;
-  result_.placements.push_back(std::move(p));
+  result_.set_node(rank_, node);
+  result_.set_pus(rank_, acc.pus);
+  result_.set_coord(rank_, acc.coord);
   ++result_.procs_per_node[node];
   for (const PrunedObject* target : acc.objects) ++occupancy_[target];
   ++rank_;

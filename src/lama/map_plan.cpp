@@ -151,6 +151,9 @@ MapPlan compile_map_plan(const MaximalTree& mtree, const ProcessLayout& layout,
   plan.online_capacity = mtree.online_pu_capacity();
 
   PlanBuilder(mtree, plan).run();
+  for (const MapPlan::Slot& s : plan.slots) {
+    plan.pu_stride = std::max(plan.pu_stride, s.pus->view().used_words());
+  }
   return plan;
 }
 
@@ -207,7 +210,7 @@ void PlanExecutor::check_deadline(const MapOptions& opts,
 void PlanExecutor::reset_run_state(const MapOptions& opts, const MapPlan& plan,
                                    MappingResult& out) {
   out.layout = plan.layout_string;
-  out.placements.resize(opts.np);
+  out.reset_ranks(opts.np, plan.pu_stride, plan.extents.size());
   out.sweeps = 0;
   out.skipped = 0;
   out.visited = 0;
@@ -276,11 +279,9 @@ void PlanExecutor::emit(const MapPlan& plan, std::size_t node,
       ++cap_use_[j][idx];
     }
   }
-  Placement& p = out.placements[rank_];
-  p.rank = static_cast<int>(rank_);
-  p.node = node;
-  p.target_pus = acc.pus;   // copy-assign reuses the destination's capacity
-  p.coord = acc.coord;
+  out.set_node(rank_, node);
+  out.set_pus(rank_, acc.pus);
+  out.set_coord(rank_, acc.coord);
   ++out.procs_per_node[node];
   for (const std::uint32_t id : acc.slot_ids) {
     if (occ_[id]++ == 0) touched_.push_back(id);

@@ -85,6 +85,8 @@ struct MapPlan {
 
   std::size_t num_nodes = 0;
   std::size_t online_capacity = 0;  // online PUs (for the oversubscribe check)
+  // Words per rank of a result's PU-set column: enough for every slot's set.
+  std::size_t pu_stride = 1;
   // Whether the compiling policy was the all-sequential default. Execution
   // requires the run's policy to agree (checked for the default case; a
   // plan compiled under a custom policy must only run under that policy —

@@ -147,12 +147,11 @@ RankfilePlacement parse_rankfile(const Allocation& alloc,
     pu_load[i].assign(alloc.node(i).topo.pu_count(), 0);
   }
 
+  placement.mapping.reset_ranks(entries.size(), 1, 0);
   for (const RankfileEntry& entry : entries) {
-    Placement p;
-    p.rank = entry.rank;
-    p.node = entry.node;
-    p.target_pus = entry.cpuset;
-    placement.mapping.placements.push_back(std::move(p));
+    const auto rank = static_cast<std::size_t>(entry.rank);
+    placement.mapping.set_node(rank, entry.node);
+    placement.mapping.set_pus(rank, entry.cpuset);
     ++placement.mapping.procs_per_node[entry.node];
 
     ProcessBinding b;

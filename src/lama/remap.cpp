@@ -8,20 +8,13 @@ namespace lama {
 
 namespace {
 
-// True when the rank's placement is still fully usable on the reduced
-// allocation: its node exists and every one of its target PUs is online.
-bool placement_survives(const Placement& p, const Allocation& reduced) {
-  if (p.node >= reduced.num_nodes()) return false;
-  if (p.target_pus.empty()) return false;
-  return p.target_pus.is_subset_of(reduced.node(p.node).topo.online_pus());
-}
-
-// True when some PU on some node is targeted by more than one placement.
+// True when some PU on some node is targeted by more than one rank.
 bool any_pu_shared(const MappingResult& mapping, std::size_t num_nodes) {
   std::vector<Bitmap> used(num_nodes);
-  for (const Placement& p : mapping.placements) {
-    if (p.target_pus.intersects(used[p.node])) return true;
-    used[p.node] |= p.target_pus;
+  for (std::size_t r = 0; r < mapping.num_procs(); ++r) {
+    Bitmap& mine = used[mapping.node(r)];
+    if (mapping.pus(r).intersects(mine)) return true;
+    mine |= mapping.pus(r);
   }
   return false;
 }
@@ -30,10 +23,11 @@ bool any_pu_shared(const MappingResult& mapping, std::size_t num_nodes) {
 
 RemapResult lama_remap(const Allocation& reduced, const ProcessLayout& layout,
                        const MapOptions& opts, const MappingResult& previous) {
-  if (opts.np != previous.placements.size()) {
+  const std::size_t np = previous.num_procs();
+  if (opts.np != np) {
     throw MappingError("remap expects opts.np (" + std::to_string(opts.np) +
                        ") to equal the previous mapping's process count (" +
-                       std::to_string(previous.placements.size()) + ")");
+                       std::to_string(np) + ")");
   }
   if (reduced.num_nodes() != previous.procs_per_node.size()) {
     throw MappingError(
@@ -42,40 +36,43 @@ RemapResult lama_remap(const Allocation& reduced, const ProcessLayout& layout,
   }
   reduced.validate();
 
+  // A rank survives when its node exists and every PU of its target is
+  // still online there. Each node's online set is computed once; what the
+  // survivors leave of it is where the displaced ranks may go.
+  std::vector<Bitmap> online(reduced.num_nodes());
+  for (std::size_t i = 0; i < reduced.num_nodes(); ++i) {
+    online[i] = reduced.node(i).topo.online_pus();
+  }
+  std::vector<Bitmap> free_pus = online;
   RemapResult result;
+  result.mapping = previous;
   result.mapping.layout = layout.to_string();
-  result.mapping.placements = previous.placements;
-  for (std::size_t r = 0; r < previous.placements.size(); ++r) {
-    if (!placement_survives(previous.placements[r], reduced)) {
+  for (std::size_t r = 0; r < np; ++r) {
+    const std::size_t node = previous.node(r);
+    const BitmapView pus = previous.pus(r);
+    if (node < online.size() && !pus.empty() &&
+        pus.is_subset_of(online[node])) {
+      free_pus[node].and_not(pus);
+    } else {
       result.displaced.push_back(static_cast<int>(r));
     }
   }
-  result.surviving = previous.placements.size() - result.displaced.size();
-
-  if (result.displaced.empty()) {
-    // Nothing moved: the previous plan is still fully valid.
-    result.mapping = previous;
-    result.mapping.layout = layout.to_string();
-    return result;
-  }
+  result.surviving = np - result.displaced.size();
+  // Nothing moved: the previous plan is still fully valid.
+  if (result.displaced.empty()) return result;
 
   // Off-line the survivors' PUs on top of the reduced allocation, so the
   // recursive mapper's availability skipping steps past failures and
   // survivors alike and only ever lands displaced ranks on free resources.
   Allocation restricted = reduced;
+  std::size_t free_total = 0;
   for (std::size_t i = 0; i < restricted.num_nodes(); ++i) {
-    Bitmap allowed = restricted.node(i).topo.online_pus();
-    for (std::size_t r = 0; r < previous.placements.size(); ++r) {
-      const Placement& p = previous.placements[r];
-      if (p.node == i && placement_survives(p, reduced)) {
-        allowed.and_not(p.target_pus);
-      }
-    }
-    restricted.mutable_node(i).topo.restrict_pus(allowed);
+    restricted.mutable_node(i).topo.restrict_pus(free_pus[i]);
+    free_total += free_pus[i].count();
   }
 
   const Allocation* submap_alloc = &restricted;
-  if (restricted.total_online_pus() == 0) {
+  if (free_total == 0) {
     // Survivors hold every remaining PU. Either share (wrap around the
     // reduced allocation) or refuse, per the oversubscription policy.
     if (!opts.allow_oversubscribe) {
@@ -92,25 +89,22 @@ RemapResult lama_remap(const Allocation& reduced, const ProcessLayout& layout,
   sub.np = result.displaced.size();
   const MappingResult fresh = lama_map(*submap_alloc, layout, sub);
 
+  MappingResult& mapping = result.mapping;
   for (std::size_t i = 0; i < result.displaced.size(); ++i) {
-    Placement p = fresh.placements[i];
-    p.rank = result.displaced[i];
-    result.mapping.placements[static_cast<std::size_t>(result.displaced[i])] =
-        std::move(p);
+    mapping.copy_rank(static_cast<std::size_t>(result.displaced[i]), fresh, i);
   }
-
-  result.mapping.sweeps = fresh.sweeps;
-  result.mapping.skipped = fresh.skipped;
-  result.mapping.visited = fresh.visited;
-  result.mapping.procs_per_node.assign(reduced.num_nodes(), 0);
-  for (const Placement& p : result.mapping.placements) {
-    ++result.mapping.procs_per_node[p.node];
+  mapping.sweeps = fresh.sweeps;
+  mapping.skipped = fresh.skipped;
+  mapping.visited = fresh.visited;
+  mapping.procs_per_node.assign(reduced.num_nodes(), 0);
+  for (std::size_t r = 0; r < np; ++r) {
+    ++mapping.procs_per_node[mapping.node(r)];
   }
-  result.mapping.pu_oversubscribed =
-      any_pu_shared(result.mapping, reduced.num_nodes());
+  mapping.pu_oversubscribed = any_pu_shared(mapping, reduced.num_nodes());
+  mapping.slot_oversubscribed = false;
   for (std::size_t i = 0; i < reduced.num_nodes(); ++i) {
-    if (result.mapping.procs_per_node[i] > reduced.node(i).slots) {
-      result.mapping.slot_oversubscribed = true;
+    if (mapping.procs_per_node[i] > reduced.node(i).slots) {
+      mapping.slot_oversubscribed = true;
       break;
     }
   }

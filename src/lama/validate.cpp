@@ -27,33 +27,30 @@ ValidationReport validate_mapping(const Allocation& alloc,
     occupancy[n].assign(alloc.node(n).topo.pu_count(), 0.0);
   }
 
-  for (std::size_t i = 0; i < mapping.placements.size(); ++i) {
-    const Placement& p = mapping.placements[i];
-    if (p.rank != static_cast<int>(i)) {
-      fail("rank " + std::to_string(p.rank) + " stored at index " +
-           std::to_string(i));
-    }
-    if (p.node >= alloc.num_nodes()) {
-      fail("rank " + std::to_string(p.rank) + " maps to node " +
-           std::to_string(p.node) + " outside the allocation");
+  for (std::size_t rank = 0; rank < mapping.num_procs(); ++rank) {
+    const std::size_t node = mapping.node(rank);
+    const BitmapView pus = mapping.pus(rank);
+    if (node >= alloc.num_nodes()) {
+      fail("rank " + std::to_string(rank) + " maps to node " +
+           std::to_string(node) + " outside the allocation");
       continue;
     }
-    ++procs_per_node[p.node];
-    const Bitmap online = alloc.node(p.node).topo.online_pus();
-    if (p.target_pus.empty()) {
-      fail("rank " + std::to_string(p.rank) + " has an empty target");
+    ++procs_per_node[node];
+    const Bitmap online = alloc.node(node).topo.online_pus();
+    if (pus.empty()) {
+      fail("rank " + std::to_string(rank) + " has an empty target");
       continue;
     }
-    if (!p.target_pus.is_subset_of(online)) {
-      Bitmap bad = p.target_pus;
+    if (!pus.is_subset_of(online)) {
+      Bitmap bad(pus);
       bad.and_not(online);
-      fail("rank " + std::to_string(p.rank) + " targets offline PUs {" +
-           bad.to_string() + "} on node " + std::to_string(p.node));
+      fail("rank " + std::to_string(rank) + " targets offline PUs {" +
+           bad.to_string() + "} on node " + std::to_string(node));
       continue;
     }
-    const double share = 1.0 / static_cast<double>(p.target_pus.count());
-    for (std::size_t pu : p.target_pus.to_vector()) {
-      occupancy[p.node][pu] += share;
+    const double share = 1.0 / static_cast<double>(pus.count());
+    for (std::size_t pu : pus.to_vector()) {
+      occupancy[node][pu] += share;
     }
   }
 

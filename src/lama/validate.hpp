@@ -18,11 +18,11 @@ struct ValidationReport {
   [[nodiscard]] std::string to_string() const;
 };
 
-// Invariants checked:
-//  - ranks are exactly 0..N-1 in order;
-//  - every placement names an allocated node;
+// Invariants checked (ranks are 0..N-1 by construction: the rank is the
+// column index):
+//  - every rank names an allocated node;
 //  - every target PU set is non-empty and within the node's online PUs;
-//  - procs_per_node agrees with the placements;
+//  - procs_per_node agrees with the node column;
 //  - the oversubscription flags agree with actual PU occupancy and slots.
 ValidationReport validate_mapping(const Allocation& alloc,
                                   const MappingResult& mapping);

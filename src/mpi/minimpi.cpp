@@ -121,7 +121,7 @@ SimReport run_program(const Allocation& alloc, const MappingResult& mapping,
                       const std::function<void(Comm&)>& spmd,
                       const DistanceModel& model, const NicModel& nic) {
   const std::vector<RankScript> scripts =
-      record_program(static_cast<int>(mapping.placements.size()), spmd);
+      record_program(static_cast<int>(mapping.num_procs()), spmd);
   return simulate(alloc, mapping, scripts, model, nic);
 }
 

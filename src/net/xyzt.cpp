@@ -67,6 +67,7 @@ MappingResult map_xyzt(const Allocation& alloc, const TorusNetwork& net,
   MappingResult result;
   result.layout = "xyzt:" + upper;
   result.procs_per_node.assign(alloc.num_nodes(), 0);
+  result.reset_ranks(opts.np, 1, 4);
 
   std::size_t rank = 0;
   std::size_t coord[4] = {0, 0, 0, 0};  // per order position
@@ -97,12 +98,9 @@ MappingResult map_xyzt(const Allocation& alloc, const TorusNetwork& net,
         ++result.skipped;
         continue;
       }
-      Placement p;
-      p.rank = static_cast<int>(rank);
-      p.node = node;
-      p.target_pus = Bitmap::single(pus[node][t]);
-      p.coord = {coord[0], coord[1], coord[2], coord[3]};
-      result.placements.push_back(std::move(p));
+      result.set_node(rank, node);
+      result.set_pus(rank, Bitmap::single(pus[node][t]));
+      result.set_coord(rank, coord);
       ++result.procs_per_node[node];
       ++rank;
     }

@@ -11,7 +11,7 @@ namespace lama {
 LaunchPlan::LaunchPlan(const Allocation& alloc, MappingResult mapping,
                        BindingResult binding)
     : mapping_(std::move(mapping)), binding_(std::move(binding)) {
-  LAMA_ASSERT(mapping_.placements.size() == binding_.bindings.size());
+  LAMA_ASSERT(mapping_.num_procs() == binding_.bindings.size());
   procs_.reserve(binding_.bindings.size());
   for (const ProcessBinding& b : binding_.bindings) {
     LAMA_ASSERT(b.node < alloc.num_nodes());

@@ -8,22 +8,22 @@ CostReport evaluate_mapping(const Allocation& alloc,
                             const MappingResult& mapping,
                             const TrafficPattern& pattern,
                             const DistanceModel& model) {
-  if (static_cast<std::size_t>(pattern.np) != mapping.placements.size()) {
+  if (static_cast<std::size_t>(pattern.np) != mapping.num_procs()) {
     throw MappingError("pattern '" + pattern.name + "' has " +
                        std::to_string(pattern.np) + " ranks but the mapping " +
-                       std::to_string(mapping.placements.size()));
+                       std::to_string(mapping.num_procs()));
   }
 
   // Rank -> (node, representative PU).
-  std::vector<std::size_t> node_of(mapping.placements.size());
-  std::vector<std::size_t> pu_of(mapping.placements.size());
-  for (const Placement& p : mapping.placements) {
-    node_of[static_cast<std::size_t>(p.rank)] = p.node;
-    pu_of[static_cast<std::size_t>(p.rank)] = p.representative_pu();
+  std::vector<std::size_t> node_of(mapping.num_procs());
+  std::vector<std::size_t> pu_of(mapping.num_procs());
+  for (std::size_t r = 0; r < mapping.num_procs(); ++r) {
+    node_of[r] = mapping.node(r);
+    pu_of[r] = mapping.representative_pu(r);
   }
 
   CostReport report;
-  std::vector<double> rank_ns(mapping.placements.size(), 0.0);
+  std::vector<double> rank_ns(mapping.num_procs(), 0.0);
   std::vector<std::size_t> nic_bytes(alloc.num_nodes(), 0);
 
   for (const Message& m : pattern.messages) {

@@ -24,17 +24,16 @@ struct RankState {
 SimReport simulate(const Allocation& alloc, const MappingResult& mapping,
                    const std::vector<RankScript>& scripts,
                    const DistanceModel& model, const NicModel& nic) {
-  const std::size_t np = mapping.placements.size();
+  const std::size_t np = mapping.num_procs();
   if (scripts.size() != np) {
     throw MappingError("simulate: " + std::to_string(scripts.size()) +
                        " scripts for " + std::to_string(np) + " ranks");
   }
 
   std::vector<RankState> ranks(np);
-  for (const Placement& p : mapping.placements) {
-    RankState& r = ranks[static_cast<std::size_t>(p.rank)];
-    r.node = p.node;
-    r.pu = p.representative_pu();
+  for (std::size_t rank = 0; rank < np; ++rank) {
+    ranks[rank].node = mapping.node(rank);
+    ranks[rank].pu = mapping.representative_pu(rank);
   }
 
   // In-flight/delivered messages: FIFO arrival times per (src, dst).

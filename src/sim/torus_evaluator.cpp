@@ -13,21 +13,21 @@ TorusCostReport evaluate_on_torus(const Allocation& alloc,
   if (alloc.num_nodes() != net.num_nodes()) {
     throw MappingError("allocation and torus sizes differ");
   }
-  if (static_cast<std::size_t>(pattern.np) != mapping.placements.size()) {
+  if (static_cast<std::size_t>(pattern.np) != mapping.num_procs()) {
     throw MappingError("pattern '" + pattern.name + "' has " +
                        std::to_string(pattern.np) + " ranks but the mapping " +
-                       std::to_string(mapping.placements.size()));
+                       std::to_string(mapping.num_procs()));
   }
 
-  std::vector<std::size_t> node_of(mapping.placements.size());
-  std::vector<std::size_t> pu_of(mapping.placements.size());
-  for (const Placement& p : mapping.placements) {
-    node_of[static_cast<std::size_t>(p.rank)] = p.node;
-    pu_of[static_cast<std::size_t>(p.rank)] = p.representative_pu();
+  std::vector<std::size_t> node_of(mapping.num_procs());
+  std::vector<std::size_t> pu_of(mapping.num_procs());
+  for (std::size_t r = 0; r < mapping.num_procs(); ++r) {
+    node_of[r] = mapping.node(r);
+    pu_of[r] = mapping.representative_pu(r);
   }
 
   TorusCostReport report;
-  std::vector<double> rank_ns(mapping.placements.size(), 0.0);
+  std::vector<double> rank_ns(mapping.num_procs(), 0.0);
   std::vector<std::size_t> link_bytes(net.num_links(), 0);
 
   for (const Message& m : pattern.messages) {

@@ -1,5 +1,7 @@
 #include "svc/protocol.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <istream>
 #include <ostream>
@@ -21,22 +23,74 @@ namespace lama::svc {
 
 namespace {
 
-std::string csv(const std::vector<std::size_t>& values) {
-  std::string out;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(values[i]);
-  }
-  return out;
+std::size_t decimal_digits(std::size_t value) {
+  std::size_t digits = 1;
+  for (; value >= 10; value /= 10) ++digits;
+  return digits;
 }
 
-std::string csv_int(const std::vector<int>& values) {
-  std::string out;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(values[i]);
+// Appends "v0,v1,..." for value_of(0..n-1), written straight into the
+// string's buffer: the string is grown ahead of the cursor (into its whole
+// reserved capacity first), so each number costs one to_chars and one
+// bounds check instead of an append call.
+template <typename ValueOf>
+void append_list(std::string& out, std::size_t n, ValueOf value_of) {
+  constexpr std::size_t kMaxEntry = 21;  // ',' + 20 digits
+  std::size_t pos = out.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (out.size() - pos < kMaxEntry) {
+      out.resize(std::max(out.capacity(), pos + kMaxEntry));
+    }
+    char* p = out.data() + pos;
+    if (i > 0) *p++ = ',';
+    p = std::to_chars(p, out.data() + out.size(),
+                      static_cast<std::size_t>(value_of(i)))
+            .ptr;
+    pos = static_cast<std::size_t>(p - out.data());
   }
-  return out;
+  out.resize(pos);
+}
+
+// The one writer of a reply's per-rank columns: " nodes=<node,...>
+// pus=<representative PU,...>" straight from the result. It reserves once
+// for both lists — every node index below the node count, every PU inside
+// the PU column's stride — plus the labels, one entry's headroom and a
+// short tail; an empty PU set prints npos and merely grows the string.
+void append_rank_columns(std::string& out, const MappingResult& m) {
+  const std::size_t node_digits =
+      decimal_digits(std::max<std::size_t>(m.procs_per_node.size(), 1) - 1);
+  const std::size_t pu_digits = decimal_digits(m.pu_stride() * 64 - 1);
+  out.reserve(out.size() + 48 +
+              m.num_procs() * (node_digits + pu_digits + 2));
+  out += " nodes=";
+  append_list(out, m.num_procs(), [&](std::size_t r) { return m.node(r); });
+  out += " pus=";
+  append_list(out, m.num_procs(),
+              [&](std::size_t r) { return m.representative_pu(r); });
+}
+
+// Appends one MAP reply in format_map_response's grammar.
+void append_map_response(std::string& out, const MapResponse& response) {
+  if (response.busy) {
+    out += "ERR busy retry-after=" + std::to_string(response.retry_after_ms);
+    return;
+  }
+  if (!response.ok()) {
+    out += "ERR " + response.error;
+    return;
+  }
+  char head[96];
+  std::snprintf(head, sizeof(head), "OK hit=%d coalesced=%d np=%zu sweeps=%zu",
+                response.cache_hit ? 1 : 0, response.coalesced ? 1 : 0,
+                response.mapping.num_procs(), response.mapping.sweeps);
+  out += head;
+  append_rank_columns(out, response.mapping);
+  if (response.degraded) out += " degraded=1";
+  if (response.binding.has_value()) {
+    const std::vector<ProcessBinding>& b = response.binding->bindings;
+    out += " widths=";
+    append_list(out, b.size(), [&](std::size_t i) { return b[i].width; });
+  }
 }
 
 }  // namespace
@@ -119,7 +173,7 @@ struct ProtocolSession::Impl {
   std::string handle_trace(const std::vector<std::string>& tokens);
   std::string handle_health() const;
   void record_last_map(const std::string& id, const MapRequest& request,
-                       const MapResponse& response);
+                       MapResponse&& response);
 
   // Durability plumbing. persist() seals one accepted mutation into the
   // journal (a no-op without a store, and during replay) and rotates a
@@ -160,10 +214,11 @@ std::uint64_t ProtocolSession::Impl::digest() const {
     h = hash_combine(h, e.last->opts.resource_caps[static_cast<std::size_t>(
                             canonical_depth(ResourceType::kNode))]);
     h = hash_combine(h, e.last->mapping.sweeps);
-    for (const Placement& p : e.last->mapping.placements) {
-      h = hash_combine(h, static_cast<std::uint64_t>(p.rank));
-      h = hash_combine(h, p.node);
-      h = hash_combine(h, fnv1a64(p.target_pus.to_string()));
+    const MappingResult& m = e.last->mapping;
+    for (std::size_t r = 0; r < m.num_procs(); ++r) {
+      h = hash_combine(h, r);
+      h = hash_combine(h, m.node(r));
+      h = hash_combine(h, fnv1a64(m.pus(r).to_string()));
     }
   }
   return h;
@@ -184,11 +239,12 @@ std::vector<std::string> ProtocolSession::Impl::dump_lines() const {
     }
     lines.push_back("#EPOCH " + id + " " + std::to_string(e.epoch));
     if (!e.last.has_value()) continue;
+    const MappingResult& m = e.last->mapping;
     std::string placements;
-    for (const Placement& p : e.last->mapping.placements) {
-      if (!placements.empty()) placements += ';';
-      placements += std::to_string(p.rank) + ":" + std::to_string(p.node) +
-                    ":" + p.target_pus.to_string();
+    for (std::size_t r = 0; r < m.num_procs(); ++r) {
+      if (r > 0) placements += ';';
+      placements += std::to_string(r) + ":" + std::to_string(m.node(r)) +
+                    ":" + m.pus(r).to_string();
     }
     const std::size_t cap = e.last->opts.resource_caps[static_cast<std::size_t>(
         canonical_depth(ResourceType::kNode))];
@@ -224,12 +280,15 @@ void ProtocolSession::Impl::restore_epoch(
 
 // "#LAST <id> layout=... np=... oversub=... pus=... npernode=... sweeps=...
 // placements=rank:node:pus;...": rebuild the remap baseline exactly as the
-// writer recorded it, without re-running the mapping.
+// writer recorded it, without re-running the mapping. A result's rank is its
+// index, so the line must carry exactly np placements, ranks 0..np-1 in
+// order — the form dump_lines writes.
 void ProtocolSession::Impl::restore_last(
     const std::vector<std::string>& tokens) {
   if (tokens.size() < 3) throw ParseError("#LAST needs '<id> key=value ...'");
   AllocEntry& e = entry(tokens[1]);
   LastMap last;
+  std::vector<std::string> placements;
   for (std::size_t i = 2; i < tokens.size(); ++i) {
     const auto eq = tokens[i].find('=');
     if (eq == std::string::npos) {
@@ -254,31 +313,43 @@ void ProtocolSession::Impl::restore_last(
     } else if (key == "sweeps") {
       last.mapping.sweeps = parse_size(value, "#LAST sweeps");
     } else if (key == "placements") {
-      for (const std::string& field : split(value, ';')) {
-        if (field.empty()) continue;
-        const std::vector<std::string> parts = split(field, ':');
-        if (parts.size() < 2) {
-          throw ParseError("#LAST placement needs 'rank:node:pus'");
-        }
-        Placement p;
-        p.rank = static_cast<int>(
-            parse_size_bounded(parts[0], "#LAST rank", kMaxNp));
-        p.node = parse_size_bounded(parts[1], "#LAST node", kMaxNodesPerAlloc);
-        if (parts.size() >= 3 && !parts[2].empty()) {
-          p.target_pus = Bitmap::parse(parts[2]);
-        }
-        last.mapping.placements.push_back(std::move(p));
+      placements.clear();
+      for (std::string& field : split(value, ';')) {
+        if (!field.empty()) placements.push_back(std::move(field));
       }
     } else {
       throw ParseError("unknown #LAST field '" + key + "'");
     }
   }
-  last.mapping.procs_per_node.assign(e.current.num_nodes(), 0);
-  for (const Placement& p : last.mapping.placements) {
-    if (p.node >= e.current.num_nodes()) {
+  const std::size_t np = last.opts.np;
+  if (placements.size() != np) {
+    throw ParseError("#LAST carries " + std::to_string(placements.size()) +
+                     " placements for np=" + std::to_string(np));
+  }
+  MappingResult& m = last.mapping;
+  m.reset_ranks(np, 1, 0);
+  m.procs_per_node.assign(e.current.num_nodes(), 0);
+  for (std::size_t r = 0; r < np; ++r) {
+    const std::vector<std::string> parts = split(placements[r], ':');
+    if (parts.size() < 2) {
+      throw ParseError("#LAST placement needs 'rank:node:pus'");
+    }
+    const std::size_t rank = parse_size_bounded(parts[0], "#LAST rank", kMaxNp);
+    if (rank != r) {
+      throw ParseError("#LAST placement " + std::to_string(r) +
+                       " names rank " + std::to_string(rank) +
+                       " (ranks must run 0..np-1 in order)");
+    }
+    const std::size_t node =
+        parse_size_bounded(parts[1], "#LAST node", kMaxNodesPerAlloc);
+    if (node >= e.current.num_nodes()) {
       throw ParseError("#LAST placement node out of range");
     }
-    ++last.mapping.procs_per_node[p.node];
+    m.set_node(r, node);
+    if (parts.size() >= 3 && !parts[2].empty()) {
+      m.set_pus(r, Bitmap::parse(parts[2]));
+    }
+    ++m.procs_per_node[node];
   }
   e.last = std::move(last);
 }
@@ -312,12 +383,12 @@ bool ProtocolSession::Impl::apply_restore_line(const std::string& raw,
     }
     if (tokens[0] == "MAP") {
       const MapRequest request = parse_map_command(tokens);
-      const MapResponse response = service.map(request);
+      MapResponse response = service.map(request);
       if (!response.ok()) {
         error = response.error.empty() ? "busy" : response.error;
         return false;
       }
-      record_last_map(tokens[1], request, response);
+      record_last_map(tokens[1], request, std::move(response));
       return true;
     }
     if (tokens[0] == "REMAP") {
@@ -504,7 +575,10 @@ std::string ProtocolSession::Impl::handle_availability(
   std::string out = std::string("OK ") + (offline ? "offline" : "online") +
                     " " + tokens[1] + " node=" + std::to_string(node) +
                     " epoch=" + std::to_string(e.epoch);
-  if (!pus.empty()) out += " pus=" + csv(pus);
+  if (!pus.empty()) {
+    out += " pus=";
+    append_list(out, pus.size(), [&](std::size_t i) { return pus[i]; });
+  }
   return out;
 }
 
@@ -538,7 +612,7 @@ std::string ProtocolSession::Impl::handle_remap(
   request.opts = e.last->opts;
   request.previous = &e.last->mapping;
 
-  const MapResponse response = service.remap(request);
+  MapResponse response = service.remap(request);
   outcome = response.outcome;
   ++served;
   if (!response.ok()) {
@@ -547,25 +621,21 @@ std::string ProtocolSession::Impl::handle_remap(
     }
     return "ERR " + response.error;
   }
+  const std::vector<int>& displaced = response.displaced;
+  std::string out = "OK remap epoch=" + std::to_string(e.epoch) +
+                    " np=" + std::to_string(response.mapping.num_procs()) +
+                    " surviving=" + std::to_string(response.surviving) +
+                    " displaced=" + (displaced.empty() ? "-" : "");
+  append_list(out, displaced.size(),
+              [&](std::size_t i) { return displaced[i]; });
+  out += response.degraded ? " degraded=1" : " degraded=0";
+  append_rank_columns(out, response.mapping);
   // The remapped placement becomes the baseline for the next REMAP. The
   // journal records the verb alone (no timeout= — a runtime knob, not
   // state): replaying it re-runs the same deterministic re-placement.
-  e.last->mapping = response.mapping;
+  e.last->mapping = std::move(response.mapping);
   persist("REMAP " + tokens[1]);
-
-  std::vector<std::size_t> nodes, pus;
-  nodes.reserve(response.mapping.num_procs());
-  pus.reserve(response.mapping.num_procs());
-  for (const Placement& p : response.mapping.placements) {
-    nodes.push_back(p.node);
-    pus.push_back(p.representative_pu());
-  }
-  return "OK remap epoch=" + std::to_string(e.epoch) +
-         " np=" + std::to_string(response.mapping.num_procs()) +
-         " surviving=" + std::to_string(response.surviving) + " displaced=" +
-         (response.displaced.empty() ? "-" : csv_int(response.displaced)) +
-         " degraded=" + std::to_string(response.degraded ? 1 : 0) +
-         " nodes=" + csv(nodes) + " pus=" + csv(pus);
+  return out;
 }
 
 // OPTIMIZE <alloc-id> <np> pattern=...|matrix=<nlines> [options]: search the
@@ -662,24 +732,19 @@ std::string ProtocolSession::Impl::handle_optimize(
     return "ERR " + response.error;
   }
   const opt::OptimizeResult& result = *response.result;
-  std::vector<std::size_t> nodes, pus;
-  nodes.reserve(result.mapping.num_procs());
-  pus.reserve(result.mapping.num_procs());
-  for (const Placement& p : result.mapping.placements) {
-    nodes.push_back(p.node);
-    pus.push_back(p.representative_pu());
-  }
   char numbers[160];
   std::snprintf(numbers, sizeof(numbers),
                 " cost=%.0f static=%.0f improvement=%.4f",
                 result.cost_ns, result.best_layout_cost_ns,
                 result.improvement());
-  return "OK optimize hit=" + std::to_string(response.cache_hit ? 1 : 0) +
-         " np=" + std::to_string(result.mapping.num_procs()) + numbers +
-         " source=" + result.source + " layout=" + result.best_layout +
-         " candidates=" + std::to_string(result.candidates_evaluated) +
-         " swaps=" + std::to_string(result.refine_swaps) +
-         " nodes=" + csv(nodes) + " pus=" + csv(pus);
+  std::string out =
+      "OK optimize hit=" + std::to_string(response.cache_hit ? 1 : 0) +
+      " np=" + std::to_string(result.mapping.num_procs()) + numbers +
+      " source=" + result.source + " layout=" + result.best_layout +
+      " candidates=" + std::to_string(result.candidates_evaluated) +
+      " swaps=" + std::to_string(result.refine_swaps);
+  append_rank_columns(out, result.mapping);
+  return out;
 }
 
 // TRACE <id>|last|errors: one retained trace from the flight recorder,
@@ -719,14 +784,14 @@ std::string ProtocolSession::Impl::handle_trace(
 // differs on the reduced allocation.
 void ProtocolSession::Impl::record_last_map(const std::string& id,
                                             const MapRequest& request,
-                                            const MapResponse& response) {
+                                            MapResponse&& response) {
   if (!response.ok()) return;
   const auto [name, args] = split_rmaps_spec(request.spec);
   if (name != "lama") return;
   LastMap last;
   last.layout = ProcessLayout::parse(args.empty() ? kLamaDefaultLayout : args);
   last.opts = request.opts;
-  last.mapping = response.mapping;
+  last.mapping = std::move(response.mapping);
   AllocEntry& e = allocs[id];
   e.last = std::move(last);
   if (store == nullptr) return;
@@ -852,12 +917,18 @@ std::string ProtocolSession::execute(const std::string& line,
       const std::uint64_t parse_span = obs::span_begin();
       const MapRequest request = impl_->parse_map_command(tokens);
       obs::span_end(obs::Stage::kParse, 0, parse_span);
-      const MapResponse response = impl_->service.map(request);
+      MapResponse response = impl_->service.map(request);
       ++served_;
-      impl_->record_last_map(tokens[1], request, response);
-      const obs::SpanScope reply_span(obs::Stage::kReply);
       trace_scope.set_outcome(response.outcome);
-      return format_map_response(response) + "\n";
+      // Format first: the result then moves into the REMAP baseline.
+      std::string out;
+      {
+        const obs::SpanScope reply_span(obs::Stage::kReply);
+        append_map_response(out, response);
+        out += '\n';
+      }
+      impl_->record_last_map(tokens[1], request, std::move(response));
+      return out;
     }
     if (cmd == "BATCH") {
       if (tokens.size() != 2) throw ParseError("BATCH needs '<count>'");
@@ -898,11 +969,12 @@ std::string ProtocolSession::execute(const std::string& line,
       std::size_t next = 0;
       for (std::size_t i = 0; i < count; ++i) {
         if (slots[i].has_value()) {
-          out += format_map_response(responses[next++]) + "\n";
+          append_map_response(out, responses[next++]);
           ++served_;
         } else {
-          out += "ERR " + parse_errors[i] + "\n";
+          out += "ERR " + parse_errors[i];
         }
+        out += '\n';
       }
       return out;
     }
@@ -947,15 +1019,16 @@ std::string ProtocolSession::execute(const std::string& line,
       std::size_t ok_jobs = 0;
       std::size_t next = 0;
       for (std::size_t i = 0; i < count; ++i) {
-        std::string job_response;
+        out += "JOB " + std::to_string(i) + " ";
+        const std::size_t reply_start = out.size();
         if (slots[i].has_value()) {
-          job_response = format_map_response(responses[next++]);
+          append_map_response(out, responses[next++]);
           ++served_;
         } else {
-          job_response = "ERR " + parse_errors[i];
+          out += "ERR " + parse_errors[i];
         }
-        if (starts_with(job_response, "OK")) ++ok_jobs;
-        out += "JOB " + std::to_string(i) + " " + job_response + "\n";
+        if (out.compare(reply_start, 2, "OK") == 0) ++ok_jobs;
+        out += '\n';
       }
       out += "OK mapbatch jobs=" + std::to_string(count) +
              " ok=" + std::to_string(ok_jobs) +
@@ -1024,31 +1097,8 @@ std::string ProtocolSession::execute(const std::string& line,
 }
 
 std::string format_map_response(const MapResponse& response) {
-  if (response.busy) {
-    return "ERR busy retry-after=" + std::to_string(response.retry_after_ms);
-  }
-  if (!response.ok()) return "ERR " + response.error;
-  std::vector<std::size_t> nodes, pus;
-  nodes.reserve(response.mapping.num_procs());
-  pus.reserve(response.mapping.num_procs());
-  for (const Placement& p : response.mapping.placements) {
-    nodes.push_back(p.node);
-    pus.push_back(p.representative_pu());
-  }
-  std::string out = "OK hit=" + std::to_string(response.cache_hit ? 1 : 0) +
-                    " coalesced=" + std::to_string(response.coalesced ? 1 : 0) +
-                    " np=" + std::to_string(response.mapping.num_procs()) +
-                    " sweeps=" + std::to_string(response.mapping.sweeps) +
-                    " nodes=" + csv(nodes) + " pus=" + csv(pus);
-  if (response.degraded) out += " degraded=1";
-  if (response.binding.has_value()) {
-    std::vector<std::size_t> widths;
-    widths.reserve(response.binding->bindings.size());
-    for (const ProcessBinding& b : response.binding->bindings) {
-      widths.push_back(b.width);
-    }
-    out += " widths=" + csv(widths);
-  }
+  std::string out;
+  append_map_response(out, response);
   return out;
 }
 

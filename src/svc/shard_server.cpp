@@ -22,12 +22,11 @@ std::vector<std::vector<int>> compute_shard_affinity(
   opts.allow_oversubscribe = true;
   const MappingResult result = lama_map(alloc, layout, opts);
   std::vector<std::vector<int>> cpus(shards);
-  for (const Placement& p : result.placements) {
-    if (p.rank < 0 || static_cast<std::size_t>(p.rank) >= shards) continue;
-    std::vector<int>& mine = cpus[static_cast<std::size_t>(p.rank)];
-    for (std::size_t pu = p.target_pus.first(); pu != Bitmap::npos;
-         pu = p.target_pus.next(pu)) {
-      mine.push_back(machine.pu(pu).os_index());
+  for (std::size_t rank = 0; rank < result.num_procs() && rank < shards;
+       ++rank) {
+    const BitmapView pus = result.pus(rank);
+    for (std::size_t pu = pus.first(); pu != Bitmap::npos; pu = pus.next(pu)) {
+      cpus[rank].push_back(machine.pu(pu).os_index());
     }
   }
   return cpus;

@@ -18,11 +18,11 @@ struct SlotCoster {
   SlotCoster(const Allocation& a, const MappingResult& mapping,
              const DistanceModel& m)
       : alloc(a), model(m) {
-    node.resize(mapping.placements.size());
-    pu.resize(mapping.placements.size());
-    for (std::size_t s = 0; s < mapping.placements.size(); ++s) {
-      node[s] = mapping.placements[s].node;
-      pu[s] = mapping.placements[s].representative_pu();
+    node.resize(mapping.num_procs());
+    pu.resize(mapping.num_procs());
+    for (std::size_t s = 0; s < mapping.num_procs(); ++s) {
+      node[s] = mapping.node(s);
+      pu[s] = mapping.representative_pu(s);
     }
   }
 
@@ -43,7 +43,7 @@ ReorderResult reorder_ranks(const Allocation& alloc,
                             const CommMatrix& matrix,
                             const DistanceModel& model,
                             std::size_t max_passes) {
-  const int np = static_cast<int>(mapping.placements.size());
+  const int np = static_cast<int>(mapping.num_procs());
   if (np != matrix.np()) {
     throw MappingError("reorder: mapping has " + std::to_string(np) +
                        " ranks, matrix " + std::to_string(matrix.np()));
@@ -109,10 +109,9 @@ ReorderResult reorder_ranks(const Allocation& alloc,
   result.mapping = mapping;
   result.mapping.layout = mapping.layout + "+reorder";
   for (int r = 0; r < np; ++r) {
-    result.mapping.placements[static_cast<std::size_t>(r)] =
-        mapping.placements[static_cast<std::size_t>(
-            slot_of[static_cast<std::size_t>(r)])];
-    result.mapping.placements[static_cast<std::size_t>(r)].rank = r;
+    result.mapping.copy_rank(
+        static_cast<std::size_t>(r), mapping,
+        static_cast<std::size_t>(slot_of[static_cast<std::size_t>(r)]));
   }
   return result;
 }

@@ -56,11 +56,8 @@ struct TreeMatchRun {
     if (obj.is_leaf()) {
       // One PU: capacity bookkeeping above guarantees exactly one process.
       for (int proc : procs) {
-        Placement p;
-        p.rank = proc;
-        p.node = node;
-        p.target_pus = obj.cpuset();
-        result.placements.push_back(std::move(p));
+        result.set_node(static_cast<std::size_t>(proc), node);
+        result.set_pus(static_cast<std::size_t>(proc), obj.cpuset());
         ++result.procs_per_node[node];
       }
       return;
@@ -123,6 +120,7 @@ MappingResult map_treematch(const Allocation& alloc, const CommMatrix& matrix,
   run.result.layout = "treematch";
   run.result.procs_per_node.assign(alloc.num_nodes(), 0);
   run.result.sweeps = 1;
+  run.result.reset_ranks(np, 1, 0);  // leaves write each process's own rank
 
   // Top level: partition across nodes by online capacity.
   std::vector<int> procs(np);
@@ -143,11 +141,6 @@ MappingResult map_treematch(const Allocation& alloc, const CommMatrix& matrix,
     run.descend(i, alloc.node(i).topo.root(), parts[i], online[i]);
   }
 
-  // Placements were appended in tree order; re-sort by rank.
-  std::sort(run.result.placements.begin(), run.result.placements.end(),
-            [](const Placement& a, const Placement& b) {
-              return a.rank < b.rank;
-            });
   run.result.visited = np;
   return run.result;
 }

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "lama/mapping.hpp"
@@ -57,6 +61,13 @@ inline Allocation hetero_two_node_offline_allocation() {
   return allocate_cores(c, {{0, smt_online}, {1, Bitmap::range(0, 2)}});
 }
 
+// A rank's coordinate as a vector, for EXPECT_EQ.
+inline std::vector<std::size_t> coord_vector(const MappingResult& m,
+                                             std::size_t rank) {
+  const std::span<const std::uint32_t> c = m.coord(rank);
+  return {c.begin(), c.end()};
+}
+
 // Renders a mapping as one stable text line per rank —
 //   rank=<r> node=<n> pus=<set> coord=<csv>
 // followed by a trailer with the run counters. The golden files under
@@ -64,13 +75,14 @@ inline Allocation hetero_two_node_offline_allocation() {
 // determinism tests compare it byte-for-byte.
 inline std::string format_mapping_table(const MappingResult& m) {
   std::string out;
-  for (const Placement& p : m.placements) {
-    out += "rank=" + std::to_string(p.rank) +
-           " node=" + std::to_string(p.node) + " pus=" +
-           p.target_pus.to_string() + " coord=";
-    for (std::size_t i = 0; i < p.coord.size(); ++i) {
+  for (std::size_t r = 0; r < m.num_procs(); ++r) {
+    out += "rank=" + std::to_string(r) +
+           " node=" + std::to_string(m.node(r)) + " pus=" +
+           m.pus(r).to_string() + " coord=";
+    const std::span<const std::uint32_t> coord = m.coord(r);
+    for (std::size_t i = 0; i < coord.size(); ++i) {
       if (i > 0) out += ',';
-      out += std::to_string(p.coord[i]);
+      out += std::to_string(coord[i]);
     }
     out += '\n';
   }
@@ -93,15 +105,12 @@ inline bool identical_mappings(const MappingResult& a,
       a.skipped != b.skipped || a.visited != b.visited ||
       a.pu_oversubscribed != b.pu_oversubscribed ||
       a.slot_oversubscribed != b.slot_oversubscribed ||
-      a.procs_per_node != b.procs_per_node ||
-      a.placements.size() != b.placements.size()) {
+      a.procs_per_node != b.procs_per_node || a.num_procs() != b.num_procs()) {
     return false;
   }
-  for (std::size_t i = 0; i < a.placements.size(); ++i) {
-    const Placement& pa = a.placements[i];
-    const Placement& pb = b.placements[i];
-    if (pa.rank != pb.rank || pa.node != pb.node ||
-        !(pa.target_pus == pb.target_pus) || pa.coord != pb.coord) {
+  for (std::size_t r = 0; r < a.num_procs(); ++r) {
+    if (a.node(r) != b.node(r) || !a.pus(r).equals(b.pus(r)) ||
+        !std::ranges::equal(a.coord(r), b.coord(r))) {
       return false;
     }
   }

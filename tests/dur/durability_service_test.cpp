@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -304,6 +305,70 @@ TEST(DurabilityService, PeriodicSnapshotsRotateDuringService) {
   info = restored.restore_from(fresh_store);
   EXPECT_TRUE(info.self_check_ok);
   EXPECT_EQ(restored.state_digest(), live);
+}
+
+// A result's rank is its index, so a #LAST line must list exactly np
+// placements with ranks 0..np-1 in order — the form snapshot_lines writes.
+// A short list, a duplicate rank and an out-of-order rank are each a replay
+// error: noted in the recovery warnings while startup goes on.
+TEST(DurabilityService, LastLineMustCarryRanksZeroToNpInOrder) {
+  MappingService live_service({.workers = 0});
+  SessionDriver live(live_service);
+  define_alloc(live, small_alloc(), "a");
+  ASSERT_TRUE(starts_with(live("MAP a 4 lama:nsch"), "OK"));
+  const std::vector<std::string> written = live.session.snapshot_lines();
+  const auto last_it =
+      std::find_if(written.begin(), written.end(), [](const std::string& l) {
+        return starts_with(l, "#LAST ");
+      });
+  ASSERT_NE(last_it, written.end());
+  const std::string key = " placements=";
+  const std::string head = last_it->substr(0, last_it->find(key) + key.size());
+  const std::vector<std::string> f =
+      split(last_it->substr(head.size()), ';');
+  ASSERT_EQ(f.size(), 4u) << *last_it;
+
+  struct Case {
+    std::string name;
+    std::string placements;
+    std::size_t replay_errors;
+  };
+  const std::vector<Case> cases = {
+      {"as written", join(f, ";"), 0},
+      {"short list", join({f[0], f[1], f[2]}, ";"), 1},
+      {"duplicate rank", join({f[0], f[1], f[1], f[3]}, ";"), 1},
+      {"out-of-order rank", join({f[0], f[2], f[1], f[3]}, ";"), 1},
+  };
+  for (const Case& c : cases) {
+    dur::TempDir dir;
+    ASSERT_TRUE(dir.ok());
+    std::vector<std::string> lines = written;
+    lines[static_cast<std::size_t>(last_it - written.begin())] =
+        head + c.placements;
+    {
+      dur::StateStore writer({.dir = dir.path()});
+      ASSERT_TRUE(writer.write_snapshot(lines, live.session.state_digest()));
+    }
+    MappingService service({.workers = 0});
+    dur::StateStore store({.dir = dir.path()});
+    service.attach_durability(&store);
+    SessionDriver drive(service);
+    const ProtocolSession::RecoveryInfo info =
+        drive.session.restore_from(store);
+    EXPECT_EQ(info.replay_errors, c.replay_errors) << c.name;
+    const bool noted =
+        std::any_of(info.warnings.begin(), info.warnings.end(),
+                    [](const std::string& w) {
+                      return starts_with(w, "cannot replay '#LAST ");
+                    });
+    EXPECT_EQ(noted, c.replay_errors > 0) << c.name;
+    // Startup went on: the allocation is back and maps.
+    EXPECT_TRUE(starts_with(drive("MAP a 4 lama:nsch"), "OK")) << c.name;
+    if (c.replay_errors == 0) {
+      EXPECT_TRUE(info.self_check_ok) << c.name;
+      EXPECT_EQ(drive.session.state_digest(), live.session.state_digest());
+    }
+  }
 }
 
 }  // namespace

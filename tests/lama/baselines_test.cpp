@@ -14,24 +14,19 @@ Allocation small_cluster(std::size_t nodes = 2) {
 
 TEST(BySlot, FillsNodeThenMovesOn) {
   const MappingResult m = map_by_slot(small_cluster(), {.np = 20});
-  for (int r = 0; r < 16; ++r) {
-    EXPECT_EQ(m.placements[static_cast<std::size_t>(r)].node, 0u);
-    EXPECT_EQ(m.placements[static_cast<std::size_t>(r)].representative_pu(),
-              static_cast<std::size_t>(r));
+  for (std::size_t r = 0; r < 16; ++r) {
+    EXPECT_EQ(m.node(r), 0u);
+    EXPECT_EQ(m.representative_pu(r), r);
   }
-  for (int r = 16; r < 20; ++r) {
-    EXPECT_EQ(m.placements[static_cast<std::size_t>(r)].node, 1u);
-  }
+  for (std::size_t r = 16; r < 20; ++r) EXPECT_EQ(m.node(r), 1u);
   EXPECT_FALSE(m.pu_oversubscribed);
 }
 
 TEST(ByNode, RoundRobinsAcrossNodes) {
   const MappingResult m = map_by_node(small_cluster(3), {.np = 9});
-  for (int r = 0; r < 9; ++r) {
-    EXPECT_EQ(m.placements[static_cast<std::size_t>(r)].node,
-              static_cast<std::size_t>(r) % 3);
-    EXPECT_EQ(m.placements[static_cast<std::size_t>(r)].representative_pu(),
-              static_cast<std::size_t>(r) / 3);
+  for (std::size_t r = 0; r < 9; ++r) {
+    EXPECT_EQ(m.node(r), r % 3);
+    EXPECT_EQ(m.representative_pu(r), r / 3);
   }
 }
 
@@ -40,13 +35,13 @@ TEST(Baselines, SkipOfflinePus) {
   Allocation alloc = allocate_all(c);
   alloc.mutable_node(0).topo.restrict_pus(Bitmap::parse("4-7"));
   const MappingResult slot = map_by_slot(alloc, {.np = 6});
-  EXPECT_EQ(slot.placements[0].representative_pu(), 4u);
-  EXPECT_EQ(slot.placements[3].representative_pu(), 7u);
-  EXPECT_EQ(slot.placements[4].node, 1u);
+  EXPECT_EQ(slot.representative_pu(0), 4u);
+  EXPECT_EQ(slot.representative_pu(3), 7u);
+  EXPECT_EQ(slot.node(4), 1u);
 
   const MappingResult node = map_by_node(alloc, {.np = 4});
-  EXPECT_EQ(node.placements[0].representative_pu(), 4u);  // node0 first online
-  EXPECT_EQ(node.placements[1].representative_pu(), 0u);  // node1
+  EXPECT_EQ(node.representative_pu(0), 4u);  // node0 first online
+  EXPECT_EQ(node.representative_pu(1), 0u);  // node1
 }
 
 TEST(Baselines, OversubscriptionPolicy) {
@@ -76,9 +71,9 @@ TEST(Baselines, LamaFullPackEqualsBySlot) {
     const MappingResult baseline = map_by_slot(alloc, {.np = np});
     ASSERT_EQ(ours.num_procs(), baseline.num_procs());
     for (std::size_t i = 0; i < np; ++i) {
-      EXPECT_EQ(ours.placements[i].node, baseline.placements[i].node);
-      EXPECT_EQ(ours.placements[i].representative_pu(),
-                baseline.placements[i].representative_pu());
+      EXPECT_EQ(ours.node(i), baseline.node(i));
+      EXPECT_EQ(ours.representative_pu(i),
+                baseline.representative_pu(i));
     }
   }
 }
@@ -91,9 +86,9 @@ TEST(Baselines, LamaFullScatterEqualsByNode) {
         lama_map(alloc, ProcessLayout::full_scatter(), {.np = np});
     const MappingResult baseline = map_by_node(alloc, {.np = np});
     for (std::size_t i = 0; i < np; ++i) {
-      EXPECT_EQ(ours.placements[i].node, baseline.placements[i].node);
-      EXPECT_EQ(ours.placements[i].representative_pu(),
-                baseline.placements[i].representative_pu());
+      EXPECT_EQ(ours.node(i), baseline.node(i));
+      EXPECT_EQ(ours.representative_pu(i),
+                baseline.representative_pu(i));
     }
   }
 }
@@ -109,12 +104,12 @@ TEST(Baselines, EquivalenceHoldsOnNumaCacheHardware) {
       lama_map(alloc, ProcessLayout::full_scatter(), {.np = np});
   const MappingResult node = map_by_node(alloc, {.np = np});
   for (std::size_t i = 0; i < np; ++i) {
-    EXPECT_EQ(pack.placements[i].node, slot.placements[i].node);
-    EXPECT_EQ(pack.placements[i].representative_pu(),
-              slot.placements[i].representative_pu());
-    EXPECT_EQ(scatter.placements[i].node, node.placements[i].node);
-    EXPECT_EQ(scatter.placements[i].representative_pu(),
-              node.placements[i].representative_pu());
+    EXPECT_EQ(pack.node(i), slot.node(i));
+    EXPECT_EQ(pack.representative_pu(i),
+              slot.representative_pu(i));
+    EXPECT_EQ(scatter.node(i), node.node(i));
+    EXPECT_EQ(scatter.representative_pu(i),
+              node.representative_pu(i));
   }
 }
 

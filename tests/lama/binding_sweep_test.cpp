@@ -41,7 +41,7 @@ TEST_P(BindingSweepTest, WidthEqualsPusUnderBoundAncestor) {
         << c.desc << " bind " << bind_target_name(c.target);
     // The process's mapped PU is inside its binding.
     EXPECT_TRUE(
-        m.placements[static_cast<std::size_t>(pb.rank)].target_pus.is_subset_of(
+        m.pus(static_cast<std::size_t>(pb.rank)).is_subset_of(
             pb.cpuset));
   }
 }

@@ -150,7 +150,7 @@ TEST(Binding, MappedTargetBindsExactlyTheAssignedPus) {
   const BindingResult b =
       bind_processes(alloc, m, {.target = BindTarget::kMapped});
   for (std::size_t i = 0; i < b.bindings.size(); ++i) {
-    EXPECT_EQ(b.bindings[i].cpuset, m.placements[i].target_pus);
+    EXPECT_EQ(b.bindings[i].cpuset, Bitmap(m.pus(i)));
     EXPECT_EQ(b.bindings[i].width, 4u);
   }
 }

@@ -35,9 +35,9 @@ TEST_P(CachedPermutationTest, FullCoverageInvariants) {
 
   ASSERT_EQ(m.num_procs(), capacity);
   std::set<std::pair<std::size_t, std::size_t>> used;
-  for (const Placement& p : m.placements) {
-    ASSERT_EQ(p.target_pus.count(), 1u) << GetParam();
-    EXPECT_TRUE(used.insert({p.node, p.representative_pu()}).second)
+  for (std::size_t r = 0; r < m.num_procs(); ++r) {
+    ASSERT_EQ(m.pus(r).count(), 1u) << GetParam();
+    EXPECT_TRUE(used.insert({m.node(r), m.representative_pu(r)}).second)
         << GetParam();
   }
   EXPECT_EQ(used.size(), capacity);

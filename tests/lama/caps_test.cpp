@@ -30,10 +30,10 @@ TEST(Caps, SocketCapSpreadsWithinNodes) {
   opts.set_cap(ResourceType::kSocket, 1);
   const MappingResult m = lama_map(figure2_allocation(2), "hcsbn", opts);
   // One process per socket: PUs 0 and 8 on each node.
-  EXPECT_EQ(m.placements[0].representative_pu(), 0u);
-  EXPECT_EQ(m.placements[1].representative_pu(), 8u);
-  EXPECT_EQ(m.placements[2].node, 1u);
-  EXPECT_EQ(m.placements[2].representative_pu(), 0u);
+  EXPECT_EQ(m.representative_pu(0), 0u);
+  EXPECT_EQ(m.representative_pu(1), 8u);
+  EXPECT_EQ(m.node(2), 1u);
+  EXPECT_EQ(m.representative_pu(2), 0u);
 }
 
 TEST(Caps, CoreCapAllowsOneThreadPerCore) {
@@ -41,8 +41,8 @@ TEST(Caps, CoreCapAllowsOneThreadPerCore) {
   opts.set_cap(ResourceType::kCore, 1);
   const MappingResult m = lama_map(figure2_allocation(2), "hcsbn", opts);
   // Only even PUs (thread 0 of each core) are used.
-  for (const Placement& p : m.placements) {
-    EXPECT_EQ(p.representative_pu() % 2, 0u);
+  for (std::size_t r = 0; r < m.num_procs(); ++r) {
+    EXPECT_EQ(m.representative_pu(r) % 2, 0u);
   }
   EXPECT_FALSE(m.pu_oversubscribed);
 }
@@ -112,8 +112,8 @@ TEST(Caps, MultiPuProcessesCountOncePerCap) {
   const MappingResult m = lama_map(figure2_allocation(2), "hcsbn", opts);
   EXPECT_EQ(m.procs_per_node[0], 2u);
   EXPECT_EQ(m.procs_per_node[1], 2u);
-  for (const Placement& p : m.placements) {
-    EXPECT_EQ(p.target_pus.count(), 2u);
+  for (std::size_t r = 0; r < m.num_procs(); ++r) {
+    EXPECT_EQ(m.pus(r).count(), 2u);
   }
 }
 

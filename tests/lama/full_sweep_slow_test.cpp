@@ -44,10 +44,10 @@ TEST(FullLayoutSweep, All362880PermutationsSatisfyPaperInvariants) {
               !m.pu_oversubscribed && !m.slot_oversubscribed &&
               m.visited == m.skipped + m.num_procs();
     std::set<std::pair<std::size_t, std::string>> used;
-    for (const Placement& p : m.placements) {
-      ok = ok && !p.target_pus.empty() &&
-           used.insert({p.node, p.target_pus.to_string()}).second &&
-           (p.node != 0 || !p.target_pus.intersects(offline_node0));
+    for (std::size_t r = 0; r < m.num_procs(); ++r) {
+      ok = ok && !m.pus(r).empty() &&
+           used.insert({m.node(r), m.pus(r).to_string()}).second &&
+           (m.node(r) != 0 || !m.pus(r).intersects(offline_node0));
     }
     if (!ok) {
       ++failures;

@@ -52,17 +52,15 @@ TEST_P(FuzzTest, MappingInvariantsOnRandomClusters) {
 
   ASSERT_EQ(m.num_procs(), np) << layout.to_string();
   std::set<std::pair<std::size_t, std::size_t>> used;
-  for (std::size_t i = 0; i < m.placements.size(); ++i) {
-    const Placement& p = m.placements[i];
-    EXPECT_EQ(p.rank, static_cast<int>(i));
-    ASSERT_LT(p.node, alloc.num_nodes());
+  for (std::size_t i = 0; i < m.num_procs(); ++i) {
+    ASSERT_LT(m.node(i), alloc.num_nodes());
     // Full alphabet: targets resolve to exactly one PU.
-    ASSERT_EQ(p.target_pus.count(), 1u) << layout.to_string();
-    const std::size_t pu = p.representative_pu();
-    EXPECT_TRUE(alloc.node(p.node).topo.online_pus().test(pu))
+    ASSERT_EQ(m.pus(i).count(), 1u) << layout.to_string();
+    const std::size_t pu = m.representative_pu(i);
+    EXPECT_TRUE(alloc.node(m.node(i)).topo.online_pus().test(pu))
         << layout.to_string() << " seed " << GetParam();
     // Injective while np <= capacity.
-    EXPECT_TRUE(used.insert({p.node, pu}).second)
+    EXPECT_TRUE(used.insert({m.node(i), pu}).second)
         << layout.to_string() << " seed " << GetParam();
   }
   EXPECT_FALSE(m.pu_oversubscribed);
@@ -86,8 +84,8 @@ TEST_P(FuzzTest, FullCapacityUsesEveryOnlinePu) {
   const ProcessLayout layout = random_full_layout(rng);
   const MappingResult m = lama_map(alloc, layout, {.np = capacity});
   std::set<std::pair<std::size_t, std::size_t>> used;
-  for (const Placement& p : m.placements) {
-    used.insert({p.node, p.representative_pu()});
+  for (std::size_t r = 0; r < m.num_procs(); ++r) {
+    used.insert({m.node(r), m.representative_pu(r)});
   }
   // Exactly every online PU is used once.
   EXPECT_EQ(used.size(), capacity) << layout.to_string();

@@ -72,18 +72,18 @@ TEST(MapperIteration, ReverseSocketOrder) {
                      {.order = IterationOrder::kReverse});
   const MappingResult m = lama_map(figure2_allocation(), "scbnh", opts);
   // Socket 1 now comes first: rank 0 on PU 8, rank 1 on PU 0.
-  EXPECT_EQ(m.placements[0].representative_pu(), 8u);
-  EXPECT_EQ(m.placements[1].representative_pu(), 0u);
+  EXPECT_EQ(m.representative_pu(0), 8u);
+  EXPECT_EQ(m.representative_pu(1), 0u);
 }
 
 TEST(MapperIteration, ReverseNodeOrder) {
   MapOptions opts{.np = 4};
   opts.iteration.set(ResourceType::kNode, {.order = IterationOrder::kReverse});
   const MappingResult m = lama_map(figure2_allocation(3), "nhcsb", opts);
-  EXPECT_EQ(m.placements[0].node, 2u);
-  EXPECT_EQ(m.placements[1].node, 1u);
-  EXPECT_EQ(m.placements[2].node, 0u);
-  EXPECT_EQ(m.placements[3].node, 2u);
+  EXPECT_EQ(m.node(0), 2u);
+  EXPECT_EQ(m.node(1), 1u);
+  EXPECT_EQ(m.node(2), 0u);
+  EXPECT_EQ(m.node(3), 2u);
 }
 
 TEST(MapperIteration, StridedCoreOrderInterleaves) {
@@ -92,10 +92,10 @@ TEST(MapperIteration, StridedCoreOrderInterleaves) {
                      {.order = IterationOrder::kStrided, .stride = 2});
   const MappingResult m = lama_map(figure2_allocation(1), "chsbn", opts);
   // Core order 0,2,1,3 -> PUs 0,4,2,6.
-  EXPECT_EQ(m.placements[0].representative_pu(), 0u);
-  EXPECT_EQ(m.placements[1].representative_pu(), 4u);
-  EXPECT_EQ(m.placements[2].representative_pu(), 2u);
-  EXPECT_EQ(m.placements[3].representative_pu(), 6u);
+  EXPECT_EQ(m.representative_pu(0), 0u);
+  EXPECT_EQ(m.representative_pu(1), 4u);
+  EXPECT_EQ(m.representative_pu(2), 2u);
+  EXPECT_EQ(m.representative_pu(3), 6u);
 }
 
 TEST(MapperIteration, CustomOrderRestrictsVisitedResources) {
@@ -104,8 +104,8 @@ TEST(MapperIteration, CustomOrderRestrictsVisitedResources) {
       ResourceType::kSocket,
       {.order = IterationOrder::kCustom, .custom = {1}});  // socket 1 only
   const MappingResult m = lama_map(figure2_allocation(1), "scbnh", opts);
-  for (const Placement& p : m.placements) {
-    EXPECT_GE(p.representative_pu(), 8u);
+  for (std::size_t r = 0; r < m.num_procs(); ++r) {
+    EXPECT_GE(m.representative_pu(r), 8u);
   }
 }
 
@@ -125,7 +125,9 @@ TEST(MapperIteration, PolicyPreservesCompleteness) {
                      {.order = IterationOrder::kStrided, .stride = 3});
   const MappingResult m = lama_map(figure2_allocation(1), "scbnh", opts);
   std::set<std::size_t> pus;
-  for (const Placement& p : m.placements) pus.insert(p.representative_pu());
+  for (std::size_t r = 0; r < m.num_procs(); ++r) {
+    pus.insert(m.representative_pu(r));
+  }
   EXPECT_EQ(pus.size(), 16u);
   EXPECT_FALSE(m.pu_oversubscribed);
 }

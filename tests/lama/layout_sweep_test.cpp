@@ -40,15 +40,15 @@ void check_invariants(const MappingResult& m, std::size_t capacity,
                       const Bitmap& offline_node0) {
   ASSERT_EQ(m.num_procs(), capacity) << m.layout;
   std::set<std::pair<std::size_t, std::string>> used;
-  for (const Placement& p : m.placements) {
-    EXPECT_FALSE(p.target_pus.empty()) << m.layout;
+  for (std::size_t r = 0; r < m.num_procs(); ++r) {
+    EXPECT_FALSE(m.pus(r).empty()) << m.layout;
     // Injectivity below capacity: no target receives two ranks.
-    EXPECT_TRUE(used.insert({p.node, p.target_pus.to_string()}).second)
-        << m.layout << " rank " << p.rank;
+    EXPECT_TRUE(used.insert({m.node(r), m.pus(r).to_string()}).second)
+        << m.layout << " rank " << r;
     // Availability skipping: nothing lands on an off-lined PU.
-    if (p.node == 0) {
-      EXPECT_FALSE(p.target_pus.intersects(offline_node0))
-          << m.layout << " rank " << p.rank;
+    if (m.node(r) == 0) {
+      EXPECT_FALSE(m.pus(r).intersects(offline_node0))
+          << m.layout << " rank " << r;
     }
   }
   EXPECT_EQ(m.sweeps, 1u) << m.layout;

@@ -35,19 +35,17 @@ TEST_P(LayoutPermutationTest, InvariantsOnHomogeneousCluster) {
 
   ASSERT_EQ(m.num_procs(), capacity);
   std::set<std::pair<std::size_t, std::size_t>> used;  // (node, pu)
-  for (std::size_t i = 0; i < m.placements.size(); ++i) {
-    const Placement& p = m.placements[i];
+  for (std::size_t i = 0; i < m.num_procs(); ++i) {
     // Ranks are assigned in order.
-    EXPECT_EQ(p.rank, static_cast<int>(i));
     // Every target is a real, online, single PU (full alphabet => thread
     // granularity) on an allocated node.
-    ASSERT_LT(p.node, alloc.num_nodes());
-    ASSERT_EQ(p.target_pus.count(), 1u);
-    const std::size_t pu = p.representative_pu();
-    EXPECT_TRUE(alloc.node(p.node).topo.online_pus().test(pu));
+    ASSERT_LT(m.node(i), alloc.num_nodes());
+    ASSERT_EQ(m.pus(i).count(), 1u);
+    const std::size_t pu = m.representative_pu(i);
+    EXPECT_TRUE(alloc.node(m.node(i)).topo.online_pus().test(pu));
     // Injective up to capacity: no PU is reused before wraparound.
-    EXPECT_TRUE(used.insert({p.node, pu}).second)
-        << "layout " << GetParam() << " reused node " << p.node << " pu "
+    EXPECT_TRUE(used.insert({m.node(i), pu}).second)
+        << "layout " << GetParam() << " reused node " << m.node(i) << " pu "
         << pu;
   }
   EXPECT_FALSE(m.pu_oversubscribed);
@@ -66,11 +64,11 @@ TEST_P(LayoutPermutationTest, InvariantsOnHeterogeneousCluster) {
 
   ASSERT_EQ(m.num_procs(), capacity);
   std::set<std::pair<std::size_t, std::size_t>> used;
-  for (const Placement& p : m.placements) {
-    ASSERT_EQ(p.target_pus.count(), 1u);
-    const std::size_t pu = p.representative_pu();
-    EXPECT_TRUE(alloc.node(p.node).topo.online_pus().test(pu));
-    EXPECT_TRUE(used.insert({p.node, pu}).second) << "layout " << GetParam();
+  for (std::size_t r = 0; r < m.num_procs(); ++r) {
+    ASSERT_EQ(m.pus(r).count(), 1u);
+    const std::size_t pu = m.representative_pu(r);
+    EXPECT_TRUE(alloc.node(m.node(r)).topo.online_pus().test(pu));
+    EXPECT_TRUE(used.insert({m.node(r), pu}).second) << "layout " << GetParam();
   }
   // Full capacity was consumed exactly: every node got all of its PUs.
   EXPECT_EQ(m.procs_per_node[0], 8u);
@@ -89,11 +87,11 @@ TEST_P(LayoutPermutationTest, InvariantsUnderRestrictions) {
   const MappingResult m = lama_map(alloc, GetParam(), {.np = capacity});
 
   std::set<std::pair<std::size_t, std::size_t>> used;
-  for (const Placement& p : m.placements) {
-    const std::size_t pu = p.representative_pu();
-    EXPECT_TRUE(alloc.node(p.node).topo.online_pus().test(pu))
+  for (std::size_t r = 0; r < m.num_procs(); ++r) {
+    const std::size_t pu = m.representative_pu(r);
+    EXPECT_TRUE(alloc.node(m.node(r)).topo.online_pus().test(pu))
         << "layout " << GetParam();
-    EXPECT_TRUE(used.insert({p.node, pu}).second);
+    EXPECT_TRUE(used.insert({m.node(r), pu}).second);
   }
   EXPECT_EQ(m.procs_per_node[0], 4u);
   EXPECT_EQ(m.procs_per_node[1], 3u);
@@ -106,8 +104,8 @@ TEST_P(LayoutPermutationTest, WraparoundDistributesEvenly) {
   // Two full sweeps: every PU must carry exactly 2 processes.
   const MappingResult m = lama_map(alloc, GetParam(), {.np = 32});
   std::map<std::pair<std::size_t, std::size_t>, int> load;
-  for (const Placement& p : m.placements) {
-    ++load[{p.node, p.representative_pu()}];
+  for (std::size_t r = 0; r < m.num_procs(); ++r) {
+    ++load[{m.node(r), m.representative_pu(r)}];
   }
   EXPECT_EQ(load.size(), 16u);
   for (const auto& [key, count] : load) EXPECT_EQ(count, 2);
@@ -141,8 +139,8 @@ TEST_P(IterationOrderTest, MixedRadixCounterOrder) {
     }
   }
   std::vector<std::size_t> expect(widths.size(), 0);
-  for (const Placement& p : m.placements) {
-    EXPECT_EQ(p.coord, expect) << "rank " << p.rank;
+  for (std::size_t r = 0; r < m.num_procs(); ++r) {
+    EXPECT_TRUE(std::ranges::equal(m.coord(r), expect)) << "rank " << r;
     // Increment the mixed-radix counter, least-significant digit first.
     for (std::size_t d = 0; d < widths.size(); ++d) {
       if (++expect[d] < widths[d]) break;

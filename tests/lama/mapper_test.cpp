@@ -42,26 +42,24 @@ TEST(Mapper, Figure2ExactReproduction) {
   const MappingResult m = lama_map(alloc, "scbnh", {.np = 24});
 
   ASSERT_EQ(m.num_procs(), 24u);
-  for (int rank = 0; rank < 24; ++rank) {
-    const Placement& p = m.placements[static_cast<std::size_t>(rank)];
-    EXPECT_EQ(p.rank, rank);
+  for (std::size_t rank = 0; rank < 24; ++rank) {
     // Decoded from the figure: thread = rank/16, node = (rank%16)/8,
     // core = (rank%8)/2, socket = rank%2.
-    const std::size_t h = static_cast<std::size_t>(rank) / 16;
-    const std::size_t n = (static_cast<std::size_t>(rank) % 16) / 8;
-    const std::size_t c = (static_cast<std::size_t>(rank) % 8) / 2;
-    const std::size_t s = static_cast<std::size_t>(rank) % 2;
-    EXPECT_EQ(p.node, n) << "rank " << rank;
-    ASSERT_EQ(p.target_pus.count(), 1u) << "rank " << rank;
-    EXPECT_EQ(p.representative_pu(), pu_of(s, c, h)) << "rank " << rank;
+    const std::size_t h = rank / 16;
+    const std::size_t n = (rank % 16) / 8;
+    const std::size_t c = (rank % 8) / 2;
+    const std::size_t s = rank % 2;
+    EXPECT_EQ(m.node(rank), n) << "rank " << rank;
+    ASSERT_EQ(m.pus(rank).count(), 1u) << "rank " << rank;
+    EXPECT_EQ(m.representative_pu(rank), pu_of(s, c, h)) << "rank " << rank;
   }
   // Specific spot checks straight from the figure's drawing.
-  EXPECT_EQ(m.placements[0].representative_pu(), pu_of(0, 0, 0));
-  EXPECT_EQ(m.placements[1].representative_pu(), pu_of(1, 0, 0));
-  EXPECT_EQ(m.placements[6].representative_pu(), pu_of(0, 3, 0));
-  EXPECT_EQ(m.placements[8].node, 1u);
-  EXPECT_EQ(m.placements[16].representative_pu(), pu_of(0, 0, 1));
-  EXPECT_EQ(m.placements[23].representative_pu(), pu_of(1, 3, 1));
+  EXPECT_EQ(m.representative_pu(0), pu_of(0, 0, 0));
+  EXPECT_EQ(m.representative_pu(1), pu_of(1, 0, 0));
+  EXPECT_EQ(m.representative_pu(6), pu_of(0, 3, 0));
+  EXPECT_EQ(m.node(8), 1u);
+  EXPECT_EQ(m.representative_pu(16), pu_of(0, 0, 1));
+  EXPECT_EQ(m.representative_pu(23), pu_of(1, 3, 1));
 
   EXPECT_FALSE(m.pu_oversubscribed);
   EXPECT_FALSE(m.slot_oversubscribed);
@@ -90,20 +88,19 @@ TEST(Mapper, PackLayoutFillsDepthFirst) {
   const Allocation alloc = figure2_allocation();
   const MappingResult m = lama_map(alloc, "hcsbn", {.np = 6});
   // h innermost: both threads of core 0, then core 1, ...
-  EXPECT_EQ(m.placements[0].representative_pu(), 0u);
-  EXPECT_EQ(m.placements[1].representative_pu(), 1u);
-  EXPECT_EQ(m.placements[2].representative_pu(), 2u);
-  EXPECT_EQ(m.placements[5].representative_pu(), 5u);
-  for (const Placement& p : m.placements) EXPECT_EQ(p.node, 0u);
+  EXPECT_EQ(m.representative_pu(0), 0u);
+  EXPECT_EQ(m.representative_pu(1), 1u);
+  EXPECT_EQ(m.representative_pu(2), 2u);
+  EXPECT_EQ(m.representative_pu(5), 5u);
+  for (std::size_t r = 0; r < m.num_procs(); ++r) EXPECT_EQ(m.node(r), 0u);
 }
 
 TEST(Mapper, NodeScatterLayout) {
   const Allocation alloc = figure2_allocation(4);
   const MappingResult m = lama_map(alloc, "nhcsb", {.np = 8});
-  for (int rank = 0; rank < 8; ++rank) {
-    const Placement& p = m.placements[static_cast<std::size_t>(rank)];
-    EXPECT_EQ(p.node, static_cast<std::size_t>(rank) % 4);
-    EXPECT_EQ(p.representative_pu(), static_cast<std::size_t>(rank) / 4);
+  for (std::size_t rank = 0; rank < 8; ++rank) {
+    EXPECT_EQ(m.node(rank), rank % 4);
+    EXPECT_EQ(m.representative_pu(rank), rank / 4);
   }
 }
 
@@ -111,8 +108,11 @@ TEST(Mapper, EveryRankMappedExactlyOnce) {
   const Allocation alloc = figure2_allocation();
   const MappingResult m = lama_map(alloc, "scbnh", {.np = 17});
   ASSERT_EQ(m.num_procs(), 17u);
-  for (std::size_t i = 0; i < m.placements.size(); ++i) {
-    EXPECT_EQ(m.placements[i].rank, static_cast<int>(i));
+  // The rank is the column index: each one names an allocated node and a
+  // non-empty target.
+  for (std::size_t i = 0; i < m.num_procs(); ++i) {
+    EXPECT_LT(m.node(i), alloc.num_nodes()) << "rank " << i;
+    EXPECT_FALSE(m.pus(i).empty()) << "rank " << i;
   }
 }
 
@@ -120,11 +120,11 @@ TEST(Mapper, CoarserLayoutMapsToWiderTargets) {
   // Without 'h' in the layout, threads are pruned: targets are whole cores.
   const Allocation alloc = figure2_allocation();
   const MappingResult m = lama_map(alloc, "scbn", {.np = 4});
-  for (const Placement& p : m.placements) {
-    EXPECT_EQ(p.target_pus.count(), 2u);  // a full core (2 threads)
+  for (std::size_t r = 0; r < m.num_procs(); ++r) {
+    EXPECT_EQ(m.pus(r).count(), 2u);  // a full core (2 threads)
   }
-  EXPECT_EQ(m.placements[0].target_pus.to_string(), "0-1");
-  EXPECT_EQ(m.placements[1].target_pus.to_string(), "8-9");  // socket 1
+  EXPECT_EQ(m.pus(0).to_string(), "0-1");
+  EXPECT_EQ(m.pus(1).to_string(), "8-9");  // socket 1
 }
 
 TEST(Mapper, WraparoundSetsPuOversubscription) {
@@ -134,8 +134,8 @@ TEST(Mapper, WraparoundSetsPuOversubscription) {
   EXPECT_EQ(m.sweeps, 2u);
   EXPECT_TRUE(m.pu_oversubscribed);
   // Ranks 16..19 wrap back onto PUs 0..3.
-  EXPECT_EQ(m.placements[16].representative_pu(), 0u);
-  EXPECT_EQ(m.placements[19].representative_pu(), 3u);
+  EXPECT_EQ(m.representative_pu(16), 0u);
+  EXPECT_EQ(m.representative_pu(19), 3u);
 }
 
 TEST(Mapper, ExactCapacityIsNotOversubscribed) {
@@ -183,9 +183,9 @@ TEST(Mapper, SkipsDisabledResources) {
   const MappingResult m = lama_map(alloc, "scbnh", {.np = 24});
   EXPECT_EQ(m.num_procs(), 24u);
   EXPECT_GT(m.skipped, 0u);
-  for (const Placement& p : m.placements) {
-    if (p.node == 0) {
-      EXPECT_GE(p.representative_pu(), 8u) << "rank " << p.rank;
+  for (std::size_t r = 0; r < m.num_procs(); ++r) {
+    if (m.node(r) == 0) {
+      EXPECT_GE(m.representative_pu(r), 8u) << "rank " << r;
     }
   }
   // 24 processes on exactly 24 remaining online PUs: a perfect fit.
@@ -204,9 +204,9 @@ TEST(Mapper, HeterogeneousClusterSkipsNonexistentCoordinates) {
   EXPECT_GT(m.skipped, 0u);
   EXPECT_FALSE(m.pu_oversubscribed);  // capacity is exactly 16 + 4 = 20
   // The small node must never receive a rank beyond its 4 cores.
-  for (const Placement& p : m.placements) {
-    if (p.node == 1) {
-      EXPECT_LT(p.representative_pu(), 4u);
+  for (std::size_t r = 0; r < m.num_procs(); ++r) {
+    if (m.node(r) == 1) {
+      EXPECT_LT(m.representative_pu(r), 4u);
     }
   }
   EXPECT_EQ(m.procs_per_node[0] + m.procs_per_node[1], 20u);
@@ -216,16 +216,16 @@ TEST(Mapper, HeterogeneousClusterSkipsNonexistentCoordinates) {
 TEST(Mapper, LayoutWithoutNodeLetterUsesOnlyFirstNode) {
   const Allocation alloc = figure2_allocation(3);
   const MappingResult m = lama_map(alloc, "hcs", {.np = 8});
-  for (const Placement& p : m.placements) EXPECT_EQ(p.node, 0u);
+  for (std::size_t r = 0; r < m.num_procs(); ++r) EXPECT_EQ(m.node(r), 0u);
 }
 
 TEST(Mapper, NodeOnlyLayoutTargetsWholeNodes) {
   const Allocation alloc = figure2_allocation(2);
   const MappingResult m = lama_map(alloc, "n", {.np = 4});
-  EXPECT_EQ(m.placements[0].node, 0u);
-  EXPECT_EQ(m.placements[1].node, 1u);
-  EXPECT_EQ(m.placements[2].node, 0u);
-  EXPECT_EQ(m.placements[0].target_pus.count(), 16u);
+  EXPECT_EQ(m.node(0), 0u);
+  EXPECT_EQ(m.node(1), 1u);
+  EXPECT_EQ(m.node(2), 0u);
+  EXPECT_EQ(m.pus(0).count(), 16u);
   EXPECT_FALSE(m.pu_oversubscribed);  // 2 procs per 16-PU node
 }
 
@@ -257,7 +257,9 @@ TEST(Mapper, CacheLettersIterateCacheDomains) {
   // First 4 ranks: L2 domains 0..3 of socket 0 numa 0? No — L2 innermost,
   // then N, then s: ranks cover all 16 L2 domains before reusing any.
   std::vector<std::size_t> reps;
-  for (const Placement& p : m.placements) reps.push_back(p.representative_pu());
+  for (std::size_t r = 0; r < m.num_procs(); ++r) {
+    reps.push_back(m.representative_pu(r));
+  }
   // Each L2 has 2 PUs; distinct L2 => representative PUs differ by >= 2.
   for (std::size_t i = 0; i < reps.size(); ++i) {
     for (std::size_t j = i + 1; j < reps.size(); ++j) {
@@ -276,9 +278,8 @@ TEST(Mapper, SharedTreeOverloadMatchesBuildingOne) {
     ASSERT_EQ(shared.num_procs(), direct.num_procs());
     EXPECT_EQ(shared.sweeps, direct.sweeps);
     for (std::size_t i = 0; i < np; ++i) {
-      EXPECT_EQ(shared.placements[i].target_pus,
-                direct.placements[i].target_pus);
-      EXPECT_EQ(shared.placements[i].coord, direct.placements[i].coord);
+      EXPECT_EQ(shared.pus(i).to_string(), direct.pus(i).to_string());
+      EXPECT_EQ(test::coord_vector(shared, i), test::coord_vector(direct, i));
     }
   }
 }
@@ -299,7 +300,7 @@ TEST(Mapper, SharedTreeIsSafeForConcurrentMaps) {
       for (int round = 0; round < 50; ++round) {
         const MappingResult got = lama_map(alloc, layout, {.np = 17}, tree);
         for (std::size_t i = 0; i < want.num_procs(); ++i) {
-          if (got.placements[i].target_pus != want.placements[i].target_pus) {
+          if (got.pus(i).to_string() != want.pus(i).to_string()) {
             mismatches.fetch_add(1);
           }
         }

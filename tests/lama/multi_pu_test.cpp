@@ -19,11 +19,10 @@ TEST(MultiPu, TwoThreadsPerProcessPacksWholeCores) {
   const MappingResult m =
       lama_map(figure2_allocation(1), "hcsbn", {.np = 8, .pus_per_proc = 2});
   ASSERT_EQ(m.num_procs(), 8u);
-  for (int r = 0; r < 8; ++r) {
-    const Placement& p = m.placements[static_cast<std::size_t>(r)];
+  for (std::size_t r = 0; r < 8; ++r) {
     // Rank r owns both threads of core r.
-    EXPECT_EQ(p.target_pus.count(), 2u);
-    EXPECT_EQ(p.target_pus.first(), static_cast<std::size_t>(r) * 2);
+    EXPECT_EQ(m.pus(r).count(), 2u);
+    EXPECT_EQ(m.pus(r).first(), r * 2);
   }
   EXPECT_FALSE(m.pu_oversubscribed);
 }
@@ -31,10 +30,9 @@ TEST(MultiPu, TwoThreadsPerProcessPacksWholeCores) {
 TEST(MultiPu, FourPusPerProcess) {
   const MappingResult m =
       lama_map(figure2_allocation(1), "hcsbn", {.np = 4, .pus_per_proc = 4});
-  for (int r = 0; r < 4; ++r) {
-    const Placement& p = m.placements[static_cast<std::size_t>(r)];
-    EXPECT_EQ(p.target_pus.count(), 4u);
-    EXPECT_EQ(p.target_pus.first(), static_cast<std::size_t>(r) * 4);
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(m.pus(r).count(), 4u);
+    EXPECT_EQ(m.pus(r).first(), r * 4);
   }
 }
 
@@ -45,23 +43,23 @@ TEST(MultiPu, ProcessesNeverSpanNodes) {
   const MappingResult m =
       lama_map(figure2_allocation(2), "hcsbn", {.np = 6, .pus_per_proc = 3});
   ASSERT_EQ(m.num_procs(), 6u);
-  for (const Placement& p : m.placements) {
-    EXPECT_EQ(p.target_pus.count(), 3u);
+  for (std::size_t r = 0; r < m.num_procs(); ++r) {
+    EXPECT_EQ(m.pus(r).count(), 3u);
   }
   // First five on node 0 (PUs 0-14), sixth restarts on node 1.
-  EXPECT_EQ(m.placements[4].node, 0u);
-  EXPECT_EQ(m.placements[4].target_pus.to_string(), "12-14");
-  EXPECT_EQ(m.placements[5].node, 1u);
-  EXPECT_EQ(m.placements[5].target_pus.to_string(), "0-2");
+  EXPECT_EQ(m.node(4), 0u);
+  EXPECT_EQ(m.pus(4).to_string(), "12-14");
+  EXPECT_EQ(m.node(5), 1u);
+  EXPECT_EQ(m.pus(5).to_string(), "0-2");
 }
 
 TEST(MultiPu, TargetsAreDisjointUpToCapacity) {
   const MappingResult m =
       lama_map(figure2_allocation(2), "hcsbn", {.np = 8, .pus_per_proc = 4});
   std::set<std::pair<std::size_t, std::size_t>> used;
-  for (const Placement& p : m.placements) {
-    for (std::size_t pu : p.target_pus.to_vector()) {
-      EXPECT_TRUE(used.insert({p.node, pu}).second);
+  for (std::size_t r = 0; r < m.num_procs(); ++r) {
+    for (std::size_t pu : m.pus(r).to_vector()) {
+      EXPECT_TRUE(used.insert({m.node(r), pu}).second);
     }
   }
   EXPECT_EQ(used.size(), 32u);
@@ -73,13 +71,13 @@ TEST(MultiPu, ScatterLayoutGathersWithinNode) {
   // and each process still gathers its PUs from a single node.
   const MappingResult m =
       lama_map(figure2_allocation(2), "nhcsb", {.np = 4, .pus_per_proc = 2});
-  EXPECT_EQ(m.placements[0].node, 0u);
-  EXPECT_EQ(m.placements[1].node, 1u);
+  EXPECT_EQ(m.node(0), 0u);
+  EXPECT_EQ(m.node(1), 1u);
   // Under "nhcsb" the iteration alternates node every target, so a 2-PU
   // process must abandon partial accumulations repeatedly; it still succeeds
   // by pairing targets per node.
-  for (const Placement& p : m.placements) {
-    EXPECT_EQ(p.target_pus.count(), 2u);
+  for (std::size_t r = 0; r < m.num_procs(); ++r) {
+    EXPECT_EQ(m.pus(r).count(), 2u);
   }
 }
 
@@ -113,12 +111,10 @@ TEST(MultiPu, BySlotBaselineGroupsPus) {
   const MappingResult m =
       map_by_slot(figure2_allocation(2), {.np = 10, .pus_per_proc = 3});
   // 16 PUs per node / 3 = 5 groups per node; ranks 0-4 on node0, 5-9 node1.
-  for (int r = 0; r < 10; ++r) {
-    const Placement& p = m.placements[static_cast<std::size_t>(r)];
-    EXPECT_EQ(p.node, static_cast<std::size_t>(r / 5));
-    EXPECT_EQ(p.target_pus.count(), 3u);
-    EXPECT_EQ(p.target_pus.first(),
-              static_cast<std::size_t>(r % 5) * 3);
+  for (std::size_t r = 0; r < 10; ++r) {
+    EXPECT_EQ(m.node(r), r / 5);
+    EXPECT_EQ(m.pus(r).count(), 3u);
+    EXPECT_EQ(m.pus(r).first(), (r % 5) * 3);
   }
   EXPECT_FALSE(m.pu_oversubscribed);
 }
@@ -126,10 +122,10 @@ TEST(MultiPu, BySlotBaselineGroupsPus) {
 TEST(MultiPu, ByNodeBaselineGroupsPus) {
   const MappingResult m =
       map_by_node(figure2_allocation(2), {.np = 4, .pus_per_proc = 8});
-  EXPECT_EQ(m.placements[0].node, 0u);
-  EXPECT_EQ(m.placements[0].target_pus.to_string(), "0-7");
-  EXPECT_EQ(m.placements[1].node, 1u);
-  EXPECT_EQ(m.placements[2].target_pus.to_string(), "8-15");
+  EXPECT_EQ(m.node(0), 0u);
+  EXPECT_EQ(m.pus(0).to_string(), "0-7");
+  EXPECT_EQ(m.node(1), 1u);
+  EXPECT_EQ(m.pus(2).to_string(), "8-15");
   EXPECT_FALSE(m.pu_oversubscribed);
 }
 
@@ -154,7 +150,7 @@ TEST(MultiPu, BindingCoversAllTargetPus) {
   const BindingResult b = bind_processes(
       alloc, m, {.target = BindTarget::kCore, .width = 2});
   for (std::size_t i = 0; i < b.bindings.size(); ++i) {
-    EXPECT_EQ(b.bindings[i].cpuset, m.placements[i].target_pus);
+    EXPECT_EQ(b.bindings[i].cpuset, Bitmap(m.pus(i)));
   }
 }
 

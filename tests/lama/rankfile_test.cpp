@@ -54,7 +54,7 @@ TEST(Rankfile, ProducesMappingAndBinding) {
   const RankfilePlacement rf = parse_rankfile(alloc,
                                               "rank 0=node0 slot=0:0-3\n"
                                               "rank 1=node1 slot=1:0-3\n");
-  EXPECT_EQ(rf.mapping.placements.size(), 2u);
+  EXPECT_EQ(rf.mapping.num_procs(), 2u);
   EXPECT_EQ(rf.binding.bindings.size(), 2u);
   EXPECT_EQ(rf.binding.bindings[0].width, 8u);  // whole socket
   EXPECT_EQ(rf.mapping.procs_per_node[0], 1u);

@@ -19,9 +19,11 @@
 namespace lama {
 namespace {
 
-bool survives(const Placement& p, const Allocation& reduced) {
-  return p.node < reduced.num_nodes() && !p.target_pus.empty() &&
-         p.target_pus.is_subset_of(reduced.node(p.node).topo.online_pus());
+bool survives(const MappingResult& m, std::size_t rank,
+              const Allocation& reduced) {
+  return m.node(rank) < reduced.num_nodes() && !m.pus(rank).empty() &&
+         m.pus(rank).is_subset_of(
+             reduced.node(m.node(rank)).topo.online_pus());
 }
 
 // The survivor-restricted allocation the displaced ranks must be mapped
@@ -31,8 +33,10 @@ Allocation restrict_to_free(const Allocation& reduced,
   Allocation restricted = reduced;
   for (std::size_t i = 0; i < restricted.num_nodes(); ++i) {
     Bitmap allowed = restricted.node(i).topo.online_pus();
-    for (const Placement& p : previous.placements) {
-      if (p.node == i && survives(p, reduced)) allowed.and_not(p.target_pus);
+    for (std::size_t r = 0; r < previous.num_procs(); ++r) {
+      if (previous.node(r) == i && survives(previous, r, reduced)) {
+        allowed.and_not(previous.pus(r));
+      }
     }
     restricted.mutable_node(i).topo.restrict_pus(allowed);
   }
@@ -103,8 +107,8 @@ TEST(RemapPropertyTest, DisplacedMatchFreshMapSurvivorsUntouched) {
     // The displaced set is recomputed independently so the assertions below
     // (and the oversubscribe-refusal check) never trust lama_remap's output.
     std::vector<int> expect_displaced;
-    for (std::size_t i = 0; i < previous.placements.size(); ++i) {
-      if (!survives(previous.placements[i], reduced)) {
+    for (std::size_t i = 0; i < previous.num_procs(); ++i) {
+      if (!survives(previous, i, reduced)) {
         expect_displaced.push_back(static_cast<int>(i));
       }
     }
@@ -131,12 +135,11 @@ TEST(RemapPropertyTest, DisplacedMatchFreshMapSurvivorsUntouched) {
 
     // (a) Survivors keep their placements verbatim, and the displaced list
     // is exactly the set of non-survivors, ascending.
-    for (std::size_t i = 0; i < previous.placements.size(); ++i) {
-      if (survives(previous.placements[i], reduced)) {
-        EXPECT_EQ(r.mapping.placements[i].node, previous.placements[i].node)
+    for (std::size_t i = 0; i < previous.num_procs(); ++i) {
+      if (survives(previous, i, reduced)) {
+        EXPECT_EQ(r.mapping.node(i), previous.node(i))
             << ctx << " rank " << i;
-        EXPECT_EQ(r.mapping.placements[i].target_pus,
-                  previous.placements[i].target_pus)
+        EXPECT_EQ(r.mapping.pus(i).to_string(), previous.pus(i).to_string())
             << ctx << " rank " << i;
       }
     }
@@ -155,21 +158,20 @@ TEST(RemapPropertyTest, DisplacedMatchFreshMapSurvivorsUntouched) {
       sub.np = r.displaced.size();
       const MappingResult fresh = lama_map(expect_over, layout, sub);
       for (std::size_t i = 0; i < r.displaced.size(); ++i) {
-        const Placement& got =
-            r.mapping.placements[static_cast<std::size_t>(r.displaced[i])];
-        EXPECT_EQ(got.node, fresh.placements[i].node)
-            << ctx << " displaced rank " << r.displaced[i];
-        EXPECT_EQ(got.target_pus, fresh.placements[i].target_pus)
-            << ctx << " displaced rank " << r.displaced[i];
+        const auto moved = static_cast<std::size_t>(r.displaced[i]);
+        EXPECT_EQ(r.mapping.node(moved), fresh.node(i))
+            << ctx << " displaced rank " << moved;
+        EXPECT_EQ(r.mapping.pus(moved).to_string(), fresh.pus(i).to_string())
+            << ctx << " displaced rank " << moved;
       }
     }
 
     // Every placement in the result is online on the reduced allocation.
-    for (const Placement& p : r.mapping.placements) {
-      ASSERT_LT(p.node, reduced.num_nodes()) << ctx;
-      EXPECT_TRUE(p.target_pus.is_subset_of(
-          reduced.node(p.node).topo.online_pus()))
-          << ctx << " rank " << p.rank;
+    for (std::size_t q = 0; q < r.mapping.num_procs(); ++q) {
+      ASSERT_LT(r.mapping.node(q), reduced.num_nodes()) << ctx;
+      EXPECT_TRUE(r.mapping.pus(q).is_subset_of(
+          reduced.node(r.mapping.node(q)).topo.online_pus()))
+          << ctx << " rank " << q;
     }
   }
   // The loop must actually exercise remapping, not skip everything.
@@ -205,8 +207,8 @@ TEST(RemapPropertyTest, RemapIsIdempotent) {
         lama_remap(reduced, layout, opts, first.mapping);
     EXPECT_FALSE(second.any_displaced()) << "seed=" << seed;
     for (std::size_t i = 0; i < opts.np; ++i) {
-      EXPECT_EQ(second.mapping.placements[i].target_pus,
-                first.mapping.placements[i].target_pus)
+      EXPECT_EQ(second.mapping.pus(i).to_string(),
+                first.mapping.pus(i).to_string())
           << "seed=" << seed << " rank " << i;
     }
   }

@@ -32,10 +32,9 @@ TEST(RemapTest, NoFailuresKeepsEveryPlacement) {
   EXPECT_EQ(r.surviving, 8u);
   EXPECT_FALSE(r.degraded_shared);
   ASSERT_EQ(r.mapping.num_procs(), previous.num_procs());
-  for (std::size_t i = 0; i < previous.placements.size(); ++i) {
-    EXPECT_EQ(r.mapping.placements[i].node, previous.placements[i].node);
-    EXPECT_EQ(r.mapping.placements[i].target_pus,
-              previous.placements[i].target_pus);
+  for (std::size_t i = 0; i < previous.num_procs(); ++i) {
+    EXPECT_EQ(r.mapping.node(i), previous.node(i));
+    EXPECT_EQ(r.mapping.pus(i).to_string(), previous.pus(i).to_string());
   }
 }
 
@@ -58,13 +57,13 @@ TEST(RemapTest, NodeDeathDisplacesOnlyItsRanks) {
   // Survivors are verbatim; displaced ranks landed on node 0's free PUs,
   // and nobody shares a PU.
   std::set<std::size_t> used;
-  for (std::size_t i = 0; i < r.mapping.placements.size(); ++i) {
-    const Placement& p = r.mapping.placements[i];
-    EXPECT_EQ(p.node, 0u) << "rank " << i;
+  for (std::size_t i = 0; i < r.mapping.num_procs(); ++i) {
+    EXPECT_EQ(r.mapping.node(i), 0u) << "rank " << i;
     if (i % 2 == 0) {
-      EXPECT_EQ(p.target_pus, previous.placements[i].target_pus);
+      EXPECT_EQ(r.mapping.pus(i).to_string(), previous.pus(i).to_string());
     }
-    EXPECT_TRUE(used.insert(p.representative_pu()).second) << "rank " << i;
+    EXPECT_TRUE(used.insert(r.mapping.representative_pu(i)).second)
+        << "rank " << i;
   }
   EXPECT_FALSE(r.mapping.pu_oversubscribed);
   EXPECT_EQ(r.mapping.procs_per_node[0], 8u);
@@ -78,24 +77,21 @@ TEST(RemapTest, PuFailureDisplacesExactlyTheAffectedRank) {
   const MappingResult previous = lama_map(alloc, layout, opts);
 
   // Off-line exactly the PU rank 2 sits on.
-  const Placement& victim = previous.placements[2];
   Allocation reduced = alloc;
-  Bitmap allowed = reduced.node(victim.node).topo.online_pus();
-  allowed.and_not(victim.target_pus);
-  reduced.mutable_node(victim.node).topo.restrict_pus(allowed);
+  Bitmap allowed = reduced.node(previous.node(2)).topo.online_pus();
+  allowed.and_not(previous.pus(2));
+  reduced.mutable_node(previous.node(2)).topo.restrict_pus(allowed);
 
   const RemapResult r = lama_remap(reduced, layout, opts, previous);
   ASSERT_EQ(r.displaced, std::vector<int>{2});
   EXPECT_EQ(r.surviving, 5u);
   // The displaced rank moved somewhere online and unshared.
-  const Placement& moved = r.mapping.placements[2];
-  EXPECT_TRUE(moved.target_pus.is_subset_of(
-      reduced.node(moved.node).topo.online_pus()));
+  EXPECT_TRUE(r.mapping.pus(2).is_subset_of(
+      reduced.node(r.mapping.node(2)).topo.online_pus()));
   EXPECT_FALSE(r.mapping.pu_oversubscribed);
-  for (std::size_t i = 0; i < r.mapping.placements.size(); ++i) {
+  for (std::size_t i = 0; i < r.mapping.num_procs(); ++i) {
     if (i == 2) continue;
-    EXPECT_EQ(r.mapping.placements[i].target_pus,
-              previous.placements[i].target_pus);
+    EXPECT_EQ(r.mapping.pus(i).to_string(), previous.pus(i).to_string());
   }
 }
 
@@ -105,7 +101,9 @@ TEST(RemapTest, AllDisplacedEqualsFreshMapOverReducedAllocation) {
   const ProcessLayout layout = ProcessLayout::parse("hcsn");
   const MapOptions opts{.np = 8};
   const MappingResult previous = lama_map(alloc, layout, opts);
-  for (const Placement& p : previous.placements) ASSERT_EQ(p.node, 0u);
+  for (std::size_t r = 0; r < previous.num_procs(); ++r) {
+    ASSERT_EQ(previous.node(r), 0u);
+  }
 
   Allocation reduced = alloc;
   kill_node(reduced, 0);
@@ -115,9 +113,8 @@ TEST(RemapTest, AllDisplacedEqualsFreshMapOverReducedAllocation) {
 
   const MappingResult fresh = lama_map(reduced, layout, opts);
   for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(r.mapping.placements[i].node, fresh.placements[i].node);
-    EXPECT_EQ(r.mapping.placements[i].target_pus,
-              fresh.placements[i].target_pus);
+    EXPECT_EQ(r.mapping.node(i), fresh.node(i));
+    EXPECT_EQ(r.mapping.pus(i).to_string(), fresh.pus(i).to_string());
   }
 }
 
@@ -148,9 +145,9 @@ TEST(RemapTest, SharesPusWhenOversubscriptionAllowed) {
   EXPECT_EQ(r.surviving, 8u);
   EXPECT_EQ(r.displaced.size(), 8u);
   EXPECT_TRUE(r.mapping.pu_oversubscribed);
-  for (const Placement& p : r.mapping.placements) {
-    EXPECT_EQ(p.node, 0u);
-    EXPECT_TRUE(p.target_pus.is_subset_of(
+  for (std::size_t rank = 0; rank < r.mapping.num_procs(); ++rank) {
+    EXPECT_EQ(r.mapping.node(rank), 0u);
+    EXPECT_TRUE(r.mapping.pus(rank).is_subset_of(
         reduced.node(0).topo.online_pus()));
   }
 }

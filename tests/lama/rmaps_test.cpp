@@ -32,8 +32,7 @@ TEST(Rmaps, DispatchLamaSpec) {
   // Matches a direct LAMA call.
   const MappingResult direct = lama_map(alloc, "scbnh", {.np = 24});
   for (std::size_t i = 0; i < 24; ++i) {
-    EXPECT_EQ(m.placements[i].representative_pu(),
-              direct.placements[i].representative_pu());
+    EXPECT_EQ(m.representative_pu(i), direct.representative_pu(i));
   }
 }
 
@@ -43,8 +42,7 @@ TEST(Rmaps, LamaDefaultLayoutIsFullPack) {
   const MappingResult m = registry.map("lama", alloc, {.np = 8});
   const MappingResult slot = map_by_slot(alloc, {.np = 8});
   for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(m.placements[i].representative_pu(),
-              slot.placements[i].representative_pu());
+    EXPECT_EQ(m.representative_pu(i), slot.representative_pu(i));
   }
 }
 
@@ -144,12 +142,10 @@ TEST(Rmaps, CustomComponentParticipates) {
       r.layout = "lastnode";
       r.procs_per_node.assign(alloc.num_nodes(), 0);
       const std::size_t last = alloc.num_nodes() - 1;
+      r.reset_ranks(opts.np, 1, 0);
       for (std::size_t i = 0; i < opts.np; ++i) {
-        Placement p;
-        p.rank = static_cast<int>(i);
-        p.node = last;
-        p.target_pus = alloc.node(last).topo.online_pus();
-        r.placements.push_back(std::move(p));
+        r.set_node(i, last);
+        r.set_pus(i, alloc.node(last).topo.online_pus());
         ++r.procs_per_node[last];
       }
       r.sweeps = 1;
@@ -160,7 +156,7 @@ TEST(Rmaps, CustomComponentParticipates) {
   EXPECT_EQ(registry.default_component().name(), "lastnode");
   const Allocation alloc = figure2_allocation(3);
   const MappingResult m = registry.map("lastnode", alloc, {.np = 5});
-  for (const Placement& p : m.placements) EXPECT_EQ(p.node, 2u);
+  for (std::size_t r = 0; r < m.num_procs(); ++r) EXPECT_EQ(m.node(r), 2u);
 }
 
 TEST(Rmaps, XyztComponentRegistersAndMaps) {

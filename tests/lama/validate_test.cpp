@@ -35,17 +35,10 @@ TEST(Validate, AcceptsOversubscribedMappings) {
       << validate_mapping(alloc, m).to_string();
 }
 
-TEST(Validate, DetectsRankGap) {
-  const Allocation alloc = figure2_allocation(1);
-  MappingResult m = lama_map(alloc, "hcsbn", {.np = 4});
-  m.placements[2].rank = 7;
-  EXPECT_FALSE(validate_mapping(alloc, m).ok());
-}
-
 TEST(Validate, DetectsForeignNode) {
   const Allocation alloc = figure2_allocation(1);
   MappingResult m = lama_map(alloc, "hcsbn", {.np = 4});
-  m.placements[1].node = 9;
+  m.set_node(1, 9);
   const ValidationReport r = validate_mapping(alloc, m);
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.to_string().find("outside the allocation"), std::string::npos);
@@ -64,7 +57,7 @@ TEST(Validate, DetectsOfflineTarget) {
 TEST(Validate, DetectsEmptyTarget) {
   const Allocation alloc = figure2_allocation(1);
   MappingResult m = lama_map(alloc, "hcsbn", {.np = 2});
-  m.placements[0].target_pus = Bitmap();
+  m.set_pus(0, Bitmap());
   EXPECT_FALSE(validate_mapping(alloc, m).ok());
 }
 

@@ -18,12 +18,11 @@ TEST(Xyzt, XyztOrderWalksXFirst) {
   const Allocation alloc = torus_alloc(net, "socket:1 core:2");
   const MappingResult m = map_xyzt(alloc, net, "XYZT", {.np = 8});
   // X fastest: ranks 0..3 along x at y=0, then 4..7 at y=1; all on T=0.
-  for (int r = 0; r < 8; ++r) {
-    const Placement& p = m.placements[static_cast<std::size_t>(r)];
-    const TorusCoord c = net.coord_of(p.node);
-    EXPECT_EQ(c.x, r % 4);
-    EXPECT_EQ(c.y, r / 4);
-    EXPECT_EQ(p.representative_pu(), 0u);
+  for (std::size_t r = 0; r < 8; ++r) {
+    const TorusCoord c = net.coord_of(m.node(r));
+    EXPECT_EQ(c.x, static_cast<int>(r % 4));
+    EXPECT_EQ(c.y, static_cast<int>(r / 4));
+    EXPECT_EQ(m.representative_pu(r), 0u);
   }
 }
 
@@ -32,14 +31,11 @@ TEST(Xyzt, TxyzOrderFillsNodeFirst) {
   const Allocation alloc = torus_alloc(net, "socket:1 core:4");
   const MappingResult m = map_xyzt(alloc, net, "TXYZ", {.np = 8});
   // T fastest: ranks 0..3 fill node (0,0,0), ranks 4..7 fill (1,0,0).
-  for (int r = 0; r < 4; ++r) {
-    EXPECT_EQ(m.placements[static_cast<std::size_t>(r)].node, 0u);
-    EXPECT_EQ(m.placements[static_cast<std::size_t>(r)].representative_pu(),
-              static_cast<std::size_t>(r));
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(m.node(r), 0u);
+    EXPECT_EQ(m.representative_pu(r), r);
   }
-  for (int r = 4; r < 8; ++r) {
-    EXPECT_EQ(m.placements[static_cast<std::size_t>(r)].node, 1u);
-  }
+  for (std::size_t r = 4; r < 8; ++r) EXPECT_EQ(m.node(r), 1u);
 }
 
 TEST(Xyzt, OrderIsCaseInsensitiveAndValidated) {
@@ -59,8 +55,8 @@ TEST(Xyzt, EveryPermutationCoversAllPusOnce) {
   for (const char* order : orders) {
     const MappingResult m = map_xyzt(alloc, net, order, {.np = capacity});
     std::set<std::pair<std::size_t, std::size_t>> used;
-    for (const Placement& p : m.placements) {
-      EXPECT_TRUE(used.insert({p.node, p.representative_pu()}).second)
+    for (std::size_t r = 0; r < m.num_procs(); ++r) {
+      EXPECT_TRUE(used.insert({m.node(r), m.representative_pu(r)}).second)
           << order;
     }
     EXPECT_EQ(used.size(), capacity) << order;
@@ -86,9 +82,9 @@ TEST(Xyzt, RespectsRestrictions) {
   Allocation alloc = torus_alloc(net, "socket:2 core:2");
   alloc.mutable_node(0).topo.restrict_pus(Bitmap::parse("2-3"));
   const MappingResult m = map_xyzt(alloc, net, "TXYZ", {.np = 4});
-  EXPECT_EQ(m.placements[0].representative_pu(), 2u);
-  EXPECT_EQ(m.placements[1].representative_pu(), 3u);
-  EXPECT_EQ(m.placements[2].node, 1u);
+  EXPECT_EQ(m.representative_pu(0), 2u);
+  EXPECT_EQ(m.representative_pu(1), 3u);
+  EXPECT_EQ(m.node(2), 1u);
 }
 
 TEST(Xyzt, OversubscriptionPolicyAndWraparound) {

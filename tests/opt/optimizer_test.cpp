@@ -65,11 +65,11 @@ void reversed(std::size_t count, const std::function<void(std::size_t)>& fn) {
 void expect_identical(const OptimizeResult& a, const OptimizeResult& b) {
   EXPECT_EQ(a.source, b.source);
   EXPECT_DOUBLE_EQ(a.cost_ns, b.cost_ns);
-  ASSERT_EQ(a.mapping.placements.size(), b.mapping.placements.size());
-  for (std::size_t i = 0; i < a.mapping.placements.size(); ++i) {
-    EXPECT_EQ(a.mapping.placements[i].node, b.mapping.placements[i].node);
-    EXPECT_EQ(a.mapping.placements[i].target_pus,
-              b.mapping.placements[i].target_pus);
+  ASSERT_EQ(a.mapping.num_procs(), b.mapping.num_procs());
+  for (std::size_t i = 0; i < a.mapping.num_procs(); ++i) {
+    EXPECT_EQ(a.mapping.node(i), b.mapping.node(i));
+    EXPECT_EQ(a.mapping.pus(i).to_string(),
+              b.mapping.pus(i).to_string());
   }
 }
 

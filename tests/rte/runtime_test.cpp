@@ -108,8 +108,7 @@ TEST(Runtime, CpusPerProcOptionReservesPus) {
                {"--cpus-per-proc", "4", "--map-by", "lama:hcsbn"});
   for (const LaunchedProcess& p : plan.procs()) {
     EXPECT_EQ(plan.mapping()
-                  .placements[static_cast<std::size_t>(p.rank)]
-                  .target_pus.count(),
+                  .pus(static_cast<std::size_t>(p.rank)).count(),
               4u);
   }
 }
@@ -118,8 +117,8 @@ TEST(Runtime, ThreadsPerProcReservesPusByDefault) {
   const Allocation alloc = figure2_allocation(1);
   const LaunchPlan plan = plan_job(
       alloc, JobSpec{.np = 8, .threads_per_proc = 2}, {"--by-slot"});
-  for (const Placement& p : plan.mapping().placements) {
-    EXPECT_EQ(p.target_pus.count(), 2u);
+  for (std::size_t r = 0; r < plan.mapping().num_procs(); ++r) {
+    EXPECT_EQ(plan.mapping().pus(r).count(), 2u);
   }
 }
 
@@ -129,7 +128,7 @@ TEST(Runtime, IterationOrderFlowsThrough) {
       alloc, JobSpec{.np = 2},
       {"--map-by", "lama:scbnh", "--mca", "rmaps_lama_order", "s:rev"});
   // Reversed socket order: rank 0 lands on socket 1.
-  EXPECT_GE(plan.mapping().placements[0].representative_pu(), 8u);
+  EXPECT_GE(plan.mapping().representative_pu(0), 8u);
 }
 
 TEST(Runtime, ReportBindingsFormat) {

@@ -122,12 +122,12 @@ TEST(Scheduler, SchedulerFeedsTheMapper) {
   const MappingResult m = lama_map(alloc, "scbnh", {.np = 16});
   EXPECT_EQ(m.num_procs(), 16u);
   const SchedJob& other = sched.job(1);
-  for (const Placement& p : m.placements) {
+  for (std::size_t r = 0; r < m.num_procs(); ++r) {
     // Node-local index of the allocation matches cluster node index here.
-    const std::size_t node = alloc.node(p.node).cluster_index;
+    const std::size_t node = alloc.node(m.node(r)).cluster_index;
     for (const auto& [gnode, pus] : other.grants) {
       if (gnode == node) {
-        EXPECT_FALSE(p.target_pus.intersects(pus));
+        EXPECT_FALSE(m.pus(r).intersects(pus));
       }
     }
   }

@@ -57,10 +57,10 @@ TEST(OptimizeService, MatchesDirectSearch) {
   EXPECT_EQ(response.result->source, direct.source);
   ASSERT_EQ(response.result->mapping.num_procs(), direct.mapping.num_procs());
   for (std::size_t i = 0; i < direct.mapping.num_procs(); ++i) {
-    EXPECT_EQ(response.result->mapping.placements[i].node,
-              direct.mapping.placements[i].node);
-    EXPECT_EQ(response.result->mapping.placements[i].target_pus,
-              direct.mapping.placements[i].target_pus);
+    EXPECT_EQ(response.result->mapping.node(i),
+              direct.mapping.node(i));
+    EXPECT_EQ(response.result->mapping.pus(i).to_string(),
+              direct.mapping.pus(i).to_string());
   }
 }
 
@@ -132,10 +132,10 @@ TEST(OptimizeService, WorkerPoolDoesNotChangeTheAnswer) {
   EXPECT_DOUBLE_EQ(a.result->cost_ns, b.result->cost_ns);
   EXPECT_EQ(a.result->source, b.result->source);
   for (std::size_t i = 0; i < a.result->mapping.num_procs(); ++i) {
-    EXPECT_EQ(a.result->mapping.placements[i].node,
-              b.result->mapping.placements[i].node);
-    EXPECT_EQ(a.result->mapping.placements[i].target_pus,
-              b.result->mapping.placements[i].target_pus);
+    EXPECT_EQ(a.result->mapping.node(i),
+              b.result->mapping.node(i));
+    EXPECT_EQ(a.result->mapping.pus(i).to_string(),
+              b.result->mapping.pus(i).to_string());
   }
 }
 

@@ -264,8 +264,8 @@ TEST(Resilience, IntegrityFailureDegradesToFreshMapping) {
   EXPECT_FALSE(degraded.cache_hit);
   ASSERT_EQ(degraded.mapping.num_procs(), cold.mapping.num_procs());
   for (std::size_t i = 0; i < cold.mapping.num_procs(); ++i) {
-    EXPECT_EQ(degraded.mapping.placements[i].target_pus,
-              cold.mapping.placements[i].target_pus);
+    EXPECT_EQ(degraded.mapping.pus(i).to_string(),
+              cold.mapping.pus(i).to_string());
   }
   EXPECT_EQ(service.counters().integrity_failures.load(), 1u);
   EXPECT_EQ(service.counters().degraded.load(), 1u);
@@ -332,8 +332,8 @@ TEST(Resilience, IntegrityFailureDropsTheCompiledPlanToo) {
   EXPECT_TRUE(warm.cache_hit);
   ASSERT_EQ(warm.mapping.num_procs(), cold.mapping.num_procs());
   for (std::size_t i = 0; i < cold.mapping.num_procs(); ++i) {
-    EXPECT_EQ(warm.mapping.placements[i].target_pus,
-              cold.mapping.placements[i].target_pus);
+    EXPECT_EQ(warm.mapping.pus(i).to_string(),
+              cold.mapping.pus(i).to_string());
   }
 }
 

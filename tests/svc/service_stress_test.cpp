@@ -125,12 +125,10 @@ TEST(ServiceStress, ConcurrentMixedTrafficMatchesSingleThreaded) {
             continue;
           }
           for (std::size_t i = 0; i < want.num_procs(); ++i) {
-            if (response.mapping.placements[i].node !=
-                    want.placements[i].node ||
-                response.mapping.placements[i].target_pus !=
-                    want.placements[i].target_pus ||
-                response.mapping.placements[i].coord !=
-                    want.placements[i].coord) {
+            if (response.mapping.node(i) != want.node(i) ||
+                !response.mapping.pus(i).equals(want.pus(i)) ||
+                !std::ranges::equal(response.mapping.coord(i),
+                                    want.coord(i))) {
               mismatches.fetch_add(1);
               break;
             }
@@ -191,10 +189,10 @@ TEST(ServiceStress, ConcurrentBatchesOnWorkerPool) {
       ASSERT_TRUE(responses[i].ok()) << responses[i].error;
       ASSERT_EQ(responses[i].mapping.num_procs(), expected[i].num_procs());
       for (std::size_t r = 0; r < expected[i].num_procs(); ++r) {
-        EXPECT_EQ(responses[i].mapping.placements[r].target_pus,
-                  expected[i].placements[r].target_pus);
-        EXPECT_EQ(responses[i].mapping.placements[r].node,
-                  expected[i].placements[r].node);
+        EXPECT_EQ(responses[i].mapping.pus(r).to_string(),
+                  expected[i].pus(r).to_string());
+        EXPECT_EQ(responses[i].mapping.node(r),
+                  expected[i].node(r));
       }
     }
   }

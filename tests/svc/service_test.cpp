@@ -15,9 +15,9 @@ using lama::test::figure2_allocation;
 void expect_same_mapping(const MappingResult& a, const MappingResult& b) {
   ASSERT_EQ(a.num_procs(), b.num_procs());
   for (std::size_t i = 0; i < a.num_procs(); ++i) {
-    EXPECT_EQ(a.placements[i].node, b.placements[i].node);
-    EXPECT_EQ(a.placements[i].target_pus, b.placements[i].target_pus);
-    EXPECT_EQ(a.placements[i].coord, b.placements[i].coord);
+    EXPECT_EQ(a.node(i), b.node(i));
+    EXPECT_EQ(a.pus(i).to_string(), b.pus(i).to_string());
+    EXPECT_EQ(test::coord_vector(a, i), test::coord_vector(b, i));
   }
 }
 

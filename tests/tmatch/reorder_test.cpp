@@ -30,13 +30,11 @@ TEST(Reorder, FixesStridedPairsOnPackedMapping) {
   const ReorderResult r = reorder_ranks(alloc, packed, matrix, model);
   EXPECT_LT(r.final_cost_ns, r.initial_cost_ns);
   EXPECT_GT(r.improvement(), 0.3);
-  for (int rank = 0; rank < 8; ++rank) {
-    const Placement& a = r.mapping.placements[static_cast<std::size_t>(rank)];
-    const Placement& b =
-        r.mapping.placements[static_cast<std::size_t>(rank + 8)];
-    EXPECT_EQ(DistanceModel::sharing_level(alloc.node(a.node).topo,
-                                           a.representative_pu(),
-                                           b.representative_pu()),
+  for (std::size_t rank = 0; rank < 8; ++rank) {
+    EXPECT_EQ(DistanceModel::sharing_level(
+                  alloc.node(r.mapping.node(rank)).topo,
+                  r.mapping.representative_pu(rank),
+                  r.mapping.representative_pu(rank + 8)),
               ResourceType::kCore)
         << rank;
   }

@@ -18,13 +18,11 @@ Allocation figure2_allocation(std::size_t nodes = 2) {
 
 // Sharing level of two ranks' representative PUs (must be on one node).
 ResourceType level_between(const Allocation& alloc, const MappingResult& m,
-                           int a, int b) {
-  const Placement& pa = m.placements[static_cast<std::size_t>(a)];
-  const Placement& pb = m.placements[static_cast<std::size_t>(b)];
-  EXPECT_EQ(pa.node, pb.node);
-  return DistanceModel::sharing_level(alloc.node(pa.node).topo,
-                                      pa.representative_pu(),
-                                      pb.representative_pu());
+                           std::size_t a, std::size_t b) {
+  EXPECT_EQ(m.node(a), m.node(b));
+  return DistanceModel::sharing_level(alloc.node(m.node(a)).topo,
+                                      m.representative_pu(a),
+                                      m.representative_pu(b));
 }
 
 TEST(TreeMatch, HeavyPairsShareCores) {
@@ -32,7 +30,7 @@ TEST(TreeMatch, HeavyPairsShareCores) {
   const CommMatrix matrix = CommMatrix::from_pattern(make_pairs(16, 1000));
   const MappingResult m = map_treematch(alloc, matrix, {.np = 16});
   ASSERT_EQ(m.num_procs(), 16u);
-  for (int r = 0; r < 16; r += 2) {
+  for (std::size_t r = 0; r < 16; r += 2) {
     EXPECT_EQ(level_between(alloc, m, r, r + 1), ResourceType::kCore)
         << "pair " << r;
   }
@@ -45,7 +43,7 @@ TEST(TreeMatch, StridedPairsStillShareCores) {
   const CommMatrix matrix =
       CommMatrix::from_pattern(make_strided_pairs(16, 8, 1000));
   const MappingResult m = map_treematch(alloc, matrix, {.np = 16});
-  for (int r = 0; r < 8; ++r) {
+  for (std::size_t r = 0; r < 8; ++r) {
     EXPECT_EQ(level_between(alloc, m, r, r + 8), ResourceType::kCore)
         << "pair " << r;
   }
@@ -57,13 +55,11 @@ TEST(TreeMatch, EveryRankPlacedOnDistinctPu) {
       CommMatrix::from_pattern(make_random_sparse(32, 3, 100, 5));
   const MappingResult m = map_treematch(alloc, matrix, {.np = 32});
   std::set<std::pair<std::size_t, std::size_t>> used;
-  for (std::size_t i = 0; i < m.placements.size(); ++i) {
-    const Placement& p = m.placements[i];
-    EXPECT_EQ(p.rank, static_cast<int>(i));
-    EXPECT_EQ(p.target_pus.count(), 1u);
-    EXPECT_TRUE(used.insert({p.node, p.representative_pu()}).second);
+  for (std::size_t i = 0; i < m.num_procs(); ++i) {
+    EXPECT_EQ(m.pus(i).count(), 1u);
+    EXPECT_TRUE(used.insert({m.node(i), m.representative_pu(i)}).second);
     EXPECT_TRUE(
-        alloc.node(p.node).topo.online_pus().test(p.representative_pu()));
+        alloc.node(m.node(i)).topo.online_pus().test(m.representative_pu(i)));
   }
   EXPECT_EQ(used.size(), 32u);
 }
@@ -75,8 +71,8 @@ TEST(TreeMatch, RespectsRestrictions) {
                                                  true);
   const CommMatrix matrix = CommMatrix::from_pattern(make_pairs(8, 100));
   const MappingResult m = map_treematch(alloc, matrix, {.np = 8});
-  for (const Placement& p : m.placements) {
-    EXPECT_GE(p.representative_pu(), 8u);
+  for (std::size_t r = 0; r < m.num_procs(); ++r) {
+    EXPECT_GE(m.representative_pu(r), 8u);
   }
 }
 
@@ -108,10 +104,9 @@ TEST(TreeMatch, IsDeterministic) {
       CommMatrix::from_pattern(make_random_sparse(32, 3, 100, 9));
   const MappingResult a = map_treematch(alloc, matrix, {.np = 32});
   const MappingResult b = map_treematch(alloc, matrix, {.np = 32});
-  for (std::size_t i = 0; i < a.placements.size(); ++i) {
-    EXPECT_EQ(a.placements[i].node, b.placements[i].node);
-    EXPECT_EQ(a.placements[i].representative_pu(),
-              b.placements[i].representative_pu());
+  for (std::size_t i = 0; i < a.num_procs(); ++i) {
+    EXPECT_EQ(a.node(i), b.node(i));
+    EXPECT_EQ(a.representative_pu(i), b.representative_pu(i));
   }
 }
 
