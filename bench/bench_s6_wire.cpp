@@ -30,9 +30,8 @@
 #include <string>
 #include <string_view>
 
-#include "svc/event_loop.hpp"
-#include "svc/protocol.hpp"
 #include "svc/service.hpp"
+#include "svc/shard_server.hpp"
 #include "svc/wire.hpp"
 
 namespace {
@@ -159,8 +158,7 @@ int main(int argc, char** argv) {
 
   svc::MappingService service(
       {.workers = 0, .cache_shards = 8, .shard_capacity = 64});
-  svc::ProtocolSession session(service);
-  svc::EventLoopServer server(service, session, {});
+  svc::ShardedServer server(service, {});
   server.listen("tcp:127.0.0.1:0");
   server.start();
   const std::uint16_t port = server.bound_address().port;

@@ -17,7 +17,10 @@
 // 1 shard there is no lucky hash — every connection shares the loop).
 // Uniform scaling without an adversary is reported informationally
 // (host_cpus in the JSON tells the reader whether parallel speedup was
-// even available). Writes BENCH_s7_shard.json (argv[1]).
+// even available). Every probe connection defines an allocation of its own:
+// the shards share one control plane, so probes sharing an id would grow
+// one allocation (NODE adds a node) and turn each other's next MAP cold.
+// Writes BENCH_s7_shard.json (argv[1]).
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -55,11 +58,11 @@ constexpr std::size_t kAdversaryDepth = 4;
 
 constexpr const char* kProbeDesc = "socket:2 core:2 pu:2";
 constexpr const char* kHeavyDesc = "socket:2 numa:2 core:6 pu:2";
-constexpr const char* kProbeMap = "MAP probe 4 lama:scbnh";
-
 // Fresh digest per request, across configs and repeats: the optimizer
 // cache never hits, every adversary request is a real placement search.
 std::atomic<std::uint64_t> g_halo{65536};
+// Fresh allocation id per probe connection, across configs and repeats.
+std::atomic<std::uint64_t> g_probe{0};
 
 int connect_loopback(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -139,22 +142,23 @@ std::string node_line(const std::string& id, const char* desc) {
          serialize_topology(topo);
 }
 
-// One probe connection: define the allocation, warm its plan, then time
+// One probe connection: define its allocation, warm its plan, then time
 // kProbeRequests cache-hit binary MAPs pipelined kDepth deep.
 std::uint64_t run_probe(std::uint16_t port) {
   const int fd = connect_loopback(port);
   if (fd < 0) die("probe connect failed");
   Reader r{fd, {}};
   std::string payload;
+  const std::string id =
+      "probe" + std::to_string(g_probe.fetch_add(1, std::memory_order_relaxed));
+  const std::string map_frame =
+      svc::encode_frame(svc::WireVerb::kMap, "MAP " + id + " 4 lama:scbnh");
   if (!send_all(fd, svc::encode_frame(svc::WireVerb::kNode,
-                                      node_line("probe", kProbeDesc))) ||
-      !r.read_frame(payload) ||
-      !send_all(fd, svc::encode_frame(svc::WireVerb::kMap, kProbeMap)) ||
+                                      node_line(id, kProbeDesc))) ||
+      !r.read_frame(payload) || !send_all(fd, map_frame) ||
       !r.read_frame(payload)) {
     die("probe warm failed");
   }
-  const std::string map_frame =
-      svc::encode_frame(svc::WireVerb::kMap, kProbeMap);
   const auto start = std::chrono::steady_clock::now();
   std::size_t done = 0;
   while (done < kProbeRequests) {

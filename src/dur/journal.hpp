@@ -80,8 +80,9 @@ struct JournalStats {
   std::uint64_t fsync_errors = 0;
 };
 
-// Append-only journal over one file. Single-writer: the protocol session
-// records mutations from its own thread, so appends are not synchronized.
+// Append-only journal over one file. Not synchronized itself: the owning
+// StateStore's mutex serializes every call, whichever shard's thread the
+// protocol session records a mutation from.
 // Durability is batched: fsync_every=1 syncs every record before append()
 // returns (the default — the kill-and-restart harness relies on it);
 // fsync_every=N amortizes the sync over N records and reports the
@@ -98,7 +99,6 @@ class Journal {
   // last_error() on failure; the journal stays closed and append() becomes
   // a counted no-op — persistence degrades, serving never stops.
   bool open(const std::string& path, std::size_t fsync_every = 1);
-  [[nodiscard]] bool is_open() const { return fd_ >= 0; }
   void close();
 
   // Seals and appends one record, fsyncing per the batching policy. Returns

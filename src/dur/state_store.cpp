@@ -134,6 +134,7 @@ void StateStore::collect_generations(std::vector<std::uint64_t>& snapshots,
 }
 
 RestoreResult StateStore::restore() {
+  const std::lock_guard<std::mutex> lock(mu_);
   RestoreResult result;
   if (config_.dir.empty()) {
     last_error_ = "no state directory configured";
@@ -230,6 +231,7 @@ RestoreResult StateStore::restore() {
 }
 
 bool StateStore::record(std::string_view line, std::uint64_t state_digest) {
+  const std::lock_guard<std::mutex> lock(mu_);
   // The compaction clock ticks even when the append fails: a journal in
   // trouble should reach its next snapshot (which re-seals the full state)
   // sooner, not never.
@@ -243,6 +245,7 @@ bool StateStore::record(std::string_view line, std::uint64_t state_digest) {
 
 bool StateStore::write_snapshot(const std::vector<std::string>& lines,
                                 std::uint64_t state_digest) {
+  const std::lock_guard<std::mutex> lock(mu_);
   if (config_.dir.empty()) return false;
   const std::uint64_t next = seq_ + 1;
   std::string buffer;
@@ -313,6 +316,7 @@ void StateStore::gc_below(std::uint64_t keep_from) {
 }
 
 StoreStats StateStore::stats() const {
+  const std::lock_guard<std::mutex> lock(mu_);
   StoreStats out = stats_;
   out.journal = journal_.stats();
   return out;

@@ -29,6 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -75,6 +76,9 @@ struct StoreStats {
   std::uint64_t snapshots_skipped = 0;  // torn/invalid generations passed over
 };
 
+// Every method locks the store: one session writes it, while STATS, METRICS,
+// WATCH and HEALTH read its counters from any shard's thread. journal() is
+// the exception — an unlocked hook for fault injection and tests.
 class StateStore {
  public:
   explicit StateStore(DurConfig config);
@@ -97,6 +101,7 @@ class StateStore {
   // True when enough mutations accumulated that the caller should compact
   // (write_snapshot with its current state lines).
   [[nodiscard]] bool should_snapshot() const {
+    const std::lock_guard<std::mutex> lock(mu_);
     return config_.snapshot_every > 0 &&
            mutations_since_snapshot_ >= config_.snapshot_every;
   }
@@ -108,12 +113,24 @@ class StateStore {
                       std::uint64_t state_digest);
 
   // Fsyncs any batched journal records (drain and shutdown call this).
-  bool flush() { return journal_.flush(); }
+  bool flush() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return journal_.flush();
+  }
 
-  [[nodiscard]] std::uint64_t journal_lag() const { return journal_.lag(); }
-  [[nodiscard]] std::uint64_t snapshot_seq() const { return seq_; }
+  [[nodiscard]] std::uint64_t journal_lag() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return journal_.lag();
+  }
+  [[nodiscard]] std::uint64_t snapshot_seq() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return seq_;
+  }
   [[nodiscard]] StoreStats stats() const;
-  [[nodiscard]] const std::string& last_error() const { return last_error_; }
+  [[nodiscard]] std::string last_error() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return last_error_;
+  }
 
   // The underlying journal, exposed for fault injection and tests.
   [[nodiscard]] Journal& journal() { return journal_; }
@@ -127,6 +144,7 @@ class StateStore {
   void gc_below(std::uint64_t keep_from);
 
   DurConfig config_;
+  mutable std::mutex mu_;
   Journal journal_;
   std::uint64_t seq_ = 0;
   std::size_t mutations_since_snapshot_ = 0;

@@ -31,7 +31,6 @@ class PrunedObject {
   // Original hardware object, or nullptr for a pass-through vertex bridging
   // a level this node's hardware does not have.
   [[nodiscard]] const TopoObject* source() const { return source_; }
-  [[nodiscard]] bool is_pass_through() const { return source_ == nullptr; }
 
   // Online PUs (node-local indices) reachable under this vertex, after all
   // scheduler/OS restrictions. Empty means the vertex is unavailable.

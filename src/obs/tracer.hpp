@@ -98,8 +98,6 @@ class SpanScope {
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
 
-  void set_detail(std::uint32_t detail) { detail_ = detail; }
-
  private:
   Stage stage_;
   std::uint32_t detail_;

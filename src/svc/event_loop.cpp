@@ -17,6 +17,7 @@
 #include <cstring>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "obs/tracer.hpp"
@@ -167,10 +168,16 @@ struct EventLoopServer::Impl {
 };
 
 EventLoopServer::EventLoopServer(MappingService& service,
-                                 ProtocolSession& session, NetConfig config)
+                                 ProtocolSession& session,
+                                 const NetConfig& config,
+                                 ConnectionLimiter& limiter, bool reuse_port,
+                                 std::vector<int> affinity_cpus)
     : service_(service),
       session_(session),
       config_(config),
+      limiter_(limiter),
+      reuse_port_(reuse_port),
+      affinity_cpus_(std::move(affinity_cpus)),
       impl_(std::make_unique<Impl>()) {
   impl_->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
   if (impl_->epoll_fd < 0) {
@@ -188,21 +195,16 @@ EventLoopServer::EventLoopServer(MappingService& service,
 }
 
 EventLoopServer::~EventLoopServer() {
-  if (thread_.joinable()) stop();
   service_.detach_net(&counters_);
   for (auto& [fd, conn] : impl_->conns) {
     ::close(fd);
-    if (config_.limiter != nullptr) config_.limiter->release();
+    limiter_.release();
   }
   impl_->conns.clear();
   if (impl_->listen_fd >= 0) ::close(impl_->listen_fd);
   if (!impl_->unix_path.empty()) ::unlink(impl_->unix_path.c_str());
   if (impl_->wake_fd >= 0) ::close(impl_->wake_fd);
   if (impl_->epoll_fd >= 0) ::close(impl_->epoll_fd);
-}
-
-void EventLoopServer::listen(const std::string& address) {
-  listen(parse_listen_address(address));
 }
 
 void EventLoopServer::listen(const ListenAddress& address) {
@@ -233,7 +235,7 @@ void EventLoopServer::listen(const ListenAddress& address) {
     }
     const int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (config_.reuse_port) {
+    if (reuse_port_) {
       ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
     }
     sockaddr_in sin{};
@@ -269,10 +271,10 @@ void EventLoopServer::listen(const ListenAddress& address) {
 
 std::size_t EventLoopServer::run(const std::function<bool()>& stop) {
   LAMA_ASSERT(impl_->listen_fd >= 0);
-  if (!config_.affinity_cpus.empty()) {
+  if (!affinity_cpus_.empty()) {
     cpu_set_t set;
     CPU_ZERO(&set);
-    for (const int cpu : config_.affinity_cpus) {
+    for (const int cpu : affinity_cpus_) {
       if (cpu >= 0 && cpu < CPU_SETSIZE) CPU_SET(cpu, &set);
     }
     // Best effort: an empty or foreign cpuset must not kill the server.
@@ -322,18 +324,11 @@ std::size_t EventLoopServer::run(const std::function<bool()>& stop) {
   return dispatched_.load(std::memory_order_relaxed);
 }
 
-void EventLoopServer::start() {
-  LAMA_ASSERT(!thread_.joinable());
-  stop_requested_.store(false, std::memory_order_release);
-  thread_ = std::thread([this] { run(nullptr); });
-}
-
 void EventLoopServer::stop() {
   stop_requested_.store(true, std::memory_order_release);
   const std::uint64_t one = 1;
   [[maybe_unused]] const auto n =
       ::write(impl_->wake_fd, &one, sizeof(one));
-  if (thread_.joinable()) thread_.join();
 }
 
 void EventLoopServer::accept_ready() {
@@ -344,10 +339,7 @@ void EventLoopServer::accept_ready() {
       if (errno == EINTR) continue;
       break;  // EAGAIN or a transient accept error; the loop re-polls
     }
-    const bool admitted = config_.limiter != nullptr
-                              ? config_.limiter->try_acquire()
-                              : impl_->conns.size() < config_.max_connections;
-    if (!admitted) {
+    if (!limiter_.try_acquire()) {
       inc(counters_.rejected);
       ::close(fd);
       continue;
@@ -716,7 +708,7 @@ void EventLoopServer::close_connection(Connection& conn, bool midstream) {
   if (midstream) inc(counters_.midstream_disconnects);
   inc(counters_.closed);
   impl_->conns.erase(conn.fd);  // invalidates `conn`
-  if (config_.limiter != nullptr) config_.limiter->release();
+  limiter_.release();
 }
 
 void EventLoopServer::drain_phase() {

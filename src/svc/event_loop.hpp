@@ -1,15 +1,19 @@
-// The epoll event-loop server core (ROADMAP item 2): one thread, many
-// keep-alive connections, requests pipelined per connection, every command
-// dispatched through one shared ProtocolSession so socket clients and the
-// stdin serve loop see the same control-plane state and the same durability
-// journal. The per-connection framing — text lines or the binary wire
-// protocol (svc/wire.hpp) — is auto-detected from the first byte the peer
-// sends and fixed for the connection's lifetime.
+// The epoll event-loop core of one shard of svc::ShardedServer (ROADMAP
+// item 2): one thread, many keep-alive connections, requests pipelined per
+// connection. Every shard dispatches into the server's one ProtocolSession,
+// so a connection sees the same control-plane state and the same durability
+// journal whichever shard the kernel hashed it to. The per-connection
+// framing — text lines or the binary wire protocol (svc/wire.hpp) — is
+// auto-detected from the first byte the peer sends and fixed for the
+// connection's lifetime.
 //
-// Concurrency model: the loop thread owns every connection and the session;
-// dispatch is strictly serial (ProtocolSession is not thread-safe — the
-// service underneath fans batches out to its own pool). NetCounters are
-// relaxed atomics so STATS/METRICS may read them from other threads.
+// Concurrency model: the loop thread owns its connections, their buffers
+// and its NetCounters; dispatch within a shard is strictly serial. The
+// session is shared across shards and serializes its own state behind one
+// mutex (svc/protocol.hpp says which verbs hold it for how long); the
+// service underneath is thread-safe and fans batches out to its own pool.
+// NetCounters are relaxed atomics so STATS/METRICS may read them from any
+// shard.
 //
 // Backpressure: responses queue in a per-connection write buffer and drain
 // as the socket accepts them. A peer that pipelines faster than it reads
@@ -32,7 +36,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "svc/counters.hpp"
@@ -67,7 +70,6 @@ class ConnectionLimiter {
   [[nodiscard]] std::size_t active() const {
     return active_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::size_t cap() const { return cap_; }
 
  private:
   std::atomic<std::size_t> active_{0};
@@ -75,20 +77,9 @@ class ConnectionLimiter {
 };
 
 struct NetConfig {
-  // Connections allowed at once; accepts past the cap are refused
-  // immediately (counted in NetCounters::rejected). When `limiter` is set
-  // it takes over admission and this per-server cap is ignored.
+  // Connections allowed at once across every shard (0 = unlimited); accepts
+  // past the cap are refused immediately (counted in NetCounters::rejected).
   std::size_t max_connections = 256;
-  // Global admission shared across shards; owned by the sharded server and
-  // must outlive this one. Null = enforce max_connections locally.
-  ConnectionLimiter* limiter = nullptr;
-  // Set SO_REUSEPORT before binding (TCP only) so sibling shards can bind
-  // the same port and the kernel hash-partitions incoming connections.
-  bool reuse_port = false;
-  // OS CPUs to pin the loop thread to at the top of run(); empty = no
-  // affinity. Chosen by the sharded server from LAMA's own mapping of the
-  // discovered topology. Best effort: pinning failures are ignored.
-  std::vector<int> affinity_cpus;
   // Pending response bytes per connection above which new requests on that
   // connection are shed with ERR busy instead of executing.
   std::size_t write_buffer_limit = 4u << 20;
@@ -119,21 +110,24 @@ struct ListenAddress {
 // longer than sockaddr_un allows).
 ListenAddress parse_listen_address(const std::string& text);
 
+// One shard's loop. Built only by ShardedServer, which owns everything
+// passed here: `limiter` admits connections against the global cap,
+// `reuse_port` sets SO_REUSEPORT before binding (TCP only) so sibling shards
+// share the port, and `affinity_cpus` pins the loop thread at the top of
+// run() (empty = unpinned; best effort, failures are ignored).
 class EventLoopServer {
  public:
-  // `service` and `session` are caller-owned and must outlive the server;
-  // attach durability / restore state before serving traffic.
   EventLoopServer(MappingService& service, ProtocolSession& session,
-                  NetConfig config = {});
+                  const NetConfig& config, ConnectionLimiter& limiter,
+                  bool reuse_port, std::vector<int> affinity_cpus);
   ~EventLoopServer();
 
   EventLoopServer(const EventLoopServer&) = delete;
   EventLoopServer& operator=(const EventLoopServer&) = delete;
 
   // Binds and listens. Throws MappingError when the socket cannot be set
-  // up (address in use, bad unix path, ...). Call once, before run/start.
+  // up (address in use, bad unix path, ...). Call once, before run().
   void listen(const ListenAddress& address);
-  void listen(const std::string& address);
 
   // The listening address with the kernel-resolved port — pass port 0 to
   // listen() and read the real port back here (tests do).
@@ -144,9 +138,7 @@ class EventLoopServer {
   // number of requests dispatched. `stop` may be null.
   std::size_t run(const std::function<bool()>& stop = nullptr);
 
-  // Background-thread convenience for tests and benches: start() runs
-  // run() on an internal thread, stop() signals it and joins.
-  void start();
+  // Asks run() to drain and return; callable from any thread.
   void stop();
 
   [[nodiscard]] const NetCounters& net_counters() const { return counters_; }
@@ -179,12 +171,14 @@ class EventLoopServer {
   MappingService& service_;
   ProtocolSession& session_;
   NetConfig config_;
+  ConnectionLimiter& limiter_;
+  bool reuse_port_;
+  std::vector<int> affinity_cpus_;
   NetCounters counters_;
   ListenAddress bound_;
   std::unique_ptr<Impl> impl_;
   std::atomic<std::size_t> dispatched_{0};
   std::atomic<bool> stop_requested_{false};
-  std::thread thread_;
 };
 
 }  // namespace lama::svc

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdio>
 #include <istream>
+#include <mutex>
 #include <ostream>
 #include <utility>
 #include <vector>
@@ -93,11 +94,38 @@ void append_map_response(std::string& out, const MapResponse& response) {
   }
 }
 
+// The OPTIMIZE reply: "OK optimize hit=... cost=... static=..." with the
+// optimized placement, or the busy/error line.
+std::string format_optimize_response(const OptimizeResponse& response) {
+  if (!response.ok()) {
+    if (response.busy) {
+      return "ERR busy retry-after=" + std::to_string(response.retry_after_ms);
+    }
+    return "ERR " + response.error;
+  }
+  const opt::OptimizeResult& result = *response.result;
+  char numbers[160];
+  std::snprintf(numbers, sizeof(numbers),
+                " cost=%.0f static=%.0f improvement=%.4f",
+                result.cost_ns, result.best_layout_cost_ns,
+                result.improvement());
+  std::string out =
+      "OK optimize hit=" + std::to_string(response.cache_hit ? 1 : 0) +
+      " np=" + std::to_string(result.mapping.num_procs()) + numbers +
+      " source=" + result.source + " layout=" + result.best_layout +
+      " candidates=" + std::to_string(result.candidates_evaluated) +
+      " swaps=" + std::to_string(result.refine_swaps);
+  append_rank_columns(out, result.mapping);
+  return out;
+}
+
 }  // namespace
 
 // The session state behind execute(): named allocations (parsed eagerly from
 // NODE lines so OFFLINE/ONLINE can mutate availability in place), their
-// epochs, and the last successful lama mapping per allocation for REMAP.
+// epochs, the last successful lama mapping per allocation for REMAP, and the
+// journal writer. The members after `mu` are guarded by it, and the methods
+// that touch them expect their caller to hold it.
 struct ProtocolSession::Impl {
   explicit Impl(MappingService& svc) : service(svc) {}
 
@@ -123,6 +151,7 @@ struct ProtocolSession::Impl {
   };
 
   MappingService& service;
+  std::mutex mu;
   std::map<std::string, AllocEntry> allocs;
 
   // Durability (dur/state_store.hpp): null when serving without persistence.
@@ -165,11 +194,12 @@ struct ProtocolSession::Impl {
                           const std::string& trimmed);
   std::string handle_availability(const std::vector<std::string>& tokens,
                                   bool offline);
+  // Counts as served exactly when it returns: every throw precedes the
+  // service call.
   std::string handle_remap(const std::vector<std::string>& tokens,
-                           std::size_t& served, obs::Outcome& outcome);
-  std::string handle_optimize(const std::vector<std::string>& tokens,
-                              std::istream& more, std::size_t& served,
-                              obs::Outcome& outcome);
+                           obs::Outcome& outcome);
+  OptimizeRequest parse_optimize_command(const std::vector<std::string>& tokens,
+                                         std::istream& more);
   std::string handle_trace(const std::vector<std::string>& tokens);
   std::string handle_health() const;
   void record_last_map(const std::string& id, const MapRequest& request,
@@ -392,10 +422,8 @@ bool ProtocolSession::Impl::apply_restore_line(const std::string& raw,
       return true;
     }
     if (tokens[0] == "REMAP") {
-      std::size_t unused_served = 0;
       obs::Outcome unused_outcome = obs::Outcome::kOk;
-      const std::string out =
-          handle_remap(tokens, unused_served, unused_outcome);
+      const std::string out = handle_remap(tokens, unused_outcome);
       if (!starts_with(out, "OK")) {
         error = out;
         return false;
@@ -586,8 +614,7 @@ std::string ProtocolSession::Impl::handle_availability(
 // mapping onto its current (reduced) availability. Survivors keep their
 // PUs; only displaced ranks move (lama/remap.hpp).
 std::string ProtocolSession::Impl::handle_remap(
-    const std::vector<std::string>& tokens, std::size_t& served,
-    obs::Outcome& outcome) {
+    const std::vector<std::string>& tokens, obs::Outcome& outcome) {
   if (tokens.size() < 2) {
     throw ParseError("REMAP needs '<alloc-id> [timeout=ms]'");
   }
@@ -614,7 +641,6 @@ std::string ProtocolSession::Impl::handle_remap(
 
   MapResponse response = service.remap(request);
   outcome = response.outcome;
-  ++served;
   if (!response.ok()) {
     if (response.busy) {
       return "ERR busy retry-after=" + std::to_string(response.retry_after_ms);
@@ -643,9 +669,8 @@ std::string ProtocolSession::Impl::handle_remap(
 // matrix arrives either as a named sim pattern (shared vocabulary with
 // lamactl) or as framed payload lines read from `more`, BATCH-style — edges
 // or dense rows, with the "np" header implied by the command's <np> token.
-std::string ProtocolSession::Impl::handle_optimize(
-    const std::vector<std::string>& tokens, std::istream& more,
-    std::size_t& served, obs::Outcome& outcome) {
+OptimizeRequest ProtocolSession::Impl::parse_optimize_command(
+    const std::vector<std::string>& tokens, std::istream& more) {
   if (tokens.size() < 4) {
     throw ParseError(
         "OPTIMIZE needs '<alloc-id> <np> pattern=<name>[:<bytes>]' or "
@@ -721,30 +746,7 @@ std::string ProtocolSession::Impl::handle_optimize(
   }
   request.alloc = interned(e);
   request.matrix = std::move(matrix);
-
-  const OptimizeResponse response = service.optimize(request);
-  outcome = response.outcome;
-  ++served;
-  if (!response.ok()) {
-    if (response.busy) {
-      return "ERR busy retry-after=" + std::to_string(response.retry_after_ms);
-    }
-    return "ERR " + response.error;
-  }
-  const opt::OptimizeResult& result = *response.result;
-  char numbers[160];
-  std::snprintf(numbers, sizeof(numbers),
-                " cost=%.0f static=%.0f improvement=%.4f",
-                result.cost_ns, result.best_layout_cost_ns,
-                result.improvement());
-  std::string out =
-      "OK optimize hit=" + std::to_string(response.cache_hit ? 1 : 0) +
-      " np=" + std::to_string(result.mapping.num_procs()) + numbers +
-      " source=" + result.source + " layout=" + result.best_layout +
-      " candidates=" + std::to_string(result.candidates_evaluated) +
-      " swaps=" + std::to_string(result.refine_swaps);
-  append_rank_columns(out, result.mapping);
-  return out;
+  return request;
 }
 
 // TRACE <id>|last|errors: one retained trace from the flight recorder,
@@ -788,11 +790,16 @@ void ProtocolSession::Impl::record_last_map(const std::string& id,
   if (!response.ok()) return;
   const auto [name, args] = split_rmaps_spec(request.spec);
   if (name != "lama") return;
+  AllocEntry& e = allocs[id];
+  // The mapping ran unlocked. If another connection moved the epoch in the
+  // meantime, this result belongs to an allocation that no longer exists —
+  // and its journaled line would replay against the new epoch, so the
+  // recovered baseline would differ. Drop it; the baseline stays as is.
+  if (e.epoch != request.alloc.epoch) return;
   LastMap last;
   last.layout = ProcessLayout::parse(args.empty() ? kLamaDefaultLayout : args);
   last.opts = request.opts;
   last.mapping = std::move(response.mapping);
-  AllocEntry& e = allocs[id];
   e.last = std::move(last);
   if (store == nullptr) return;
   std::string canonical =
@@ -815,14 +822,19 @@ ProtocolSession::ProtocolSession(MappingService& service)
 
 ProtocolSession::~ProtocolSession() = default;
 
-std::uint64_t ProtocolSession::state_digest() const { return impl_->digest(); }
+std::uint64_t ProtocolSession::state_digest() const {
+  const std::lock_guard<std::mutex> lock(impl_->mu);
+  return impl_->digest();
+}
 
 std::vector<std::string> ProtocolSession::snapshot_lines() const {
+  const std::lock_guard<std::mutex> lock(impl_->mu);
   return impl_->dump_lines();
 }
 
 ProtocolSession::RecoveryInfo ProtocolSession::restore_from(
     dur::StateStore& store) {
+  const std::lock_guard<std::mutex> lock(impl_->mu);
   RecoveryInfo info;
   info.attempted = true;
   impl_->store = &store;
@@ -907,6 +919,7 @@ std::string ProtocolSession::execute(const std::string& line,
   }
   try {
     if (cmd == "NODE") {
+      const std::lock_guard<std::mutex> lock(impl_->mu);
       return impl_->handle_node(tokens, trimmed) + "\n";
     }
     if (cmd == "MAP") {
@@ -915,7 +928,9 @@ std::string ProtocolSession::execute(const std::string& line,
       obs::TraceScope trace_scope(&impl_->service.stage_stats(),
                                  impl_->service.tracer());
       const std::uint64_t parse_span = obs::span_begin();
+      std::unique_lock<std::mutex> lock(impl_->mu);
       const MapRequest request = impl_->parse_map_command(tokens);
+      lock.unlock();
       obs::span_end(obs::Stage::kParse, 0, parse_span);
       MapResponse response = impl_->service.map(request);
       ++served_;
@@ -927,6 +942,7 @@ std::string ProtocolSession::execute(const std::string& line,
         append_map_response(out, response);
         out += '\n';
       }
+      lock.lock();
       impl_->record_last_map(tokens[1], request, std::move(response));
       return out;
     }
@@ -940,6 +956,7 @@ std::string ProtocolSession::execute(const std::string& line,
       std::vector<std::string> parse_errors(count);
       slots.reserve(count);
       std::string batch_line;
+      std::unique_lock<std::mutex> lock(impl_->mu);
       for (std::size_t i = 0; i < count; ++i) {
         if (!std::getline(more, batch_line)) {
           throw ParseError("BATCH ended early: expected " +
@@ -959,6 +976,7 @@ std::string ProtocolSession::execute(const std::string& line,
           parse_errors[i] = e.what();
         }
       }
+      lock.unlock();
       std::vector<MapRequest> requests;
       for (const auto& slot : slots) {
         if (slot.has_value()) requests.push_back(*slot);
@@ -997,6 +1015,7 @@ std::string ProtocolSession::execute(const std::string& line,
       std::vector<std::optional<MapRequest>> slots;
       std::vector<std::string> parse_errors(count);
       slots.reserve(count);
+      std::unique_lock<std::mutex> lock(impl_->mu);
       for (std::size_t i = 0; i < count; ++i) {
         try {
           slots.push_back(impl_->parse_mapbatch_job(tokens[2 + i]));
@@ -1005,6 +1024,7 @@ std::string ProtocolSession::execute(const std::string& line,
           parse_errors[i] = e.what();
         }
       }
+      lock.unlock();
       obs::span_end(obs::Stage::kParse, static_cast<std::uint32_t>(count),
                     parse_span);
       std::vector<MapRequest> requests;
@@ -1038,24 +1058,31 @@ std::string ProtocolSession::execute(const std::string& line,
       return out;
     }
     if (cmd == "OFFLINE" || cmd == "ONLINE") {
+      const std::lock_guard<std::mutex> lock(impl_->mu);
       return impl_->handle_availability(tokens, cmd == "OFFLINE") + "\n";
     }
     if (cmd == "REMAP") {
       obs::TraceScope trace_scope(&impl_->service.stage_stats(),
                                  impl_->service.tracer());
       obs::Outcome outcome = obs::Outcome::kError;
-      const std::string out = impl_->handle_remap(tokens, served_, outcome);
+      std::unique_lock<std::mutex> lock(impl_->mu);
+      const std::string out = impl_->handle_remap(tokens, outcome);
+      lock.unlock();
+      ++served_;
       trace_scope.set_outcome(outcome);
       return out + "\n";
     }
     if (cmd == "OPTIMIZE") {
       obs::TraceScope trace_scope(&impl_->service.stage_stats(),
                                  impl_->service.tracer());
-      obs::Outcome outcome = obs::Outcome::kError;
-      const std::string out =
-          impl_->handle_optimize(tokens, more, served_, outcome);
-      trace_scope.set_outcome(outcome);
-      return out + "\n";
+      std::unique_lock<std::mutex> lock(impl_->mu);
+      const OptimizeRequest request =
+          impl_->parse_optimize_command(tokens, more);
+      lock.unlock();
+      const OptimizeResponse response = impl_->service.optimize(request);
+      ++served_;
+      trace_scope.set_outcome(response.outcome);
+      return format_optimize_response(response) + "\n";
     }
     if (cmd == "STATS") {
       if (tokens.size() >= 2 && tokens[1] == "json") {
@@ -1075,6 +1102,7 @@ std::string ProtocolSession::execute(const std::string& line,
       return impl_->handle_trace(tokens) + "\n";
     }
     if (cmd == "HEALTH") {
+      const std::lock_guard<std::mutex> lock(impl_->mu);
       return impl_->handle_health() + "\n";
     }
     if (cmd == "WATCH") {

@@ -48,6 +48,7 @@
 // allocate unboundedly. Full reference: docs/service.md, docs/resilience.md.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -91,6 +92,13 @@ inline constexpr std::size_t kMaxOptThreads = 64;       // threads=
 // re-places). serve() is a loop over execute(); the fault-injection harness
 // drives execute() directly so it can interleave availability faults,
 // malformed lines, and cache corruption between requests.
+//
+// Thread-safe: every shard of a ShardedServer executes into one session,
+// whose state (allocations, epochs, REMAP baselines, journal writer) sits
+// behind one mutex. NODE, OFFLINE, ONLINE, REMAP, HEALTH, restore_from()
+// and the snapshot accessors hold it throughout; MAP, BATCH, MAPBATCH and
+// OPTIMIZE only to parse and intern. MAP re-takes it to install its REMAP
+// baseline, unless the epoch moved meanwhile (docs/service.md).
 class ProtocolSession {
  public:
   explicit ProtocolSession(MappingService& service);
@@ -147,8 +155,8 @@ class ProtocolSession {
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
-  bool done_ = false;
-  std::size_t served_ = 0;
+  std::atomic<bool> done_{false};
+  std::atomic<std::size_t> served_{0};
 };
 
 // Runs the protocol until QUIT or EOF; returns the number of MAP requests

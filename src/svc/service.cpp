@@ -1025,21 +1025,12 @@ std::string MappingService::stats_line() const {
 
 void MappingService::attach_net(const NetCounters* net) {
   const std::lock_guard<std::mutex> lock(net_mu_);
-  if (net == nullptr) {
-    net_.clear();
-    return;
-  }
   net_.push_back(net);
 }
 
 void MappingService::detach_net(const NetCounters* net) {
   const std::lock_guard<std::mutex> lock(net_mu_);
   net_.erase(std::remove(net_.begin(), net_.end(), net), net_.end());
-}
-
-const NetCounters* MappingService::net() const {
-  const std::lock_guard<std::mutex> lock(net_mu_);
-  return net_.empty() ? nullptr : net_.front();
 }
 
 std::size_t MappingService::net_shards() const {

@@ -297,14 +297,11 @@ class MappingService {
   // exposes the lama_net_* series and the net_* STATS keys. A sharded
   // server attaches one NetCounters per shard; STATS/METRICS aggregate
   // across them and (with more than one shard) additionally export the
-  // per-shard split. attach_net(nullptr) detaches everything. Attachment is
-  // mutex-guarded so servers may come and go while STATS readers run, but
-  // the usual lifecycle is still attach-before-traffic.
+  // per-shard split. Attachment is mutex-guarded so servers may come and go
+  // while STATS readers run, but the usual lifecycle is still
+  // attach-before-traffic.
   void attach_net(const NetCounters* net);
   void detach_net(const NetCounters* net);
-  // The first attached shard's counters, or nullptr (single-shard callers
-  // and tests).
-  [[nodiscard]] const NetCounters* net() const;
   [[nodiscard]] std::size_t net_shards() const;
 
   // Graceful drain: once begun, map/remap/optimize admission sheds every

@@ -1,5 +1,7 @@
 #include "svc/shard_server.hpp"
 
+#include <algorithm>
+
 #include "cluster/cluster.hpp"
 #include "lama/mapper.hpp"
 #include "support/error.hpp"
@@ -33,20 +35,15 @@ std::vector<std::vector<int>> compute_shard_affinity(
 }
 
 ShardedServer::ShardedServer(MappingService& service, ShardServerConfig config)
-    : service_(service),
-      config_(config),
-      limiter_(config.net.max_connections) {
-  if (config_.shards == 0) config_.shards = 1;
-  sessions_.reserve(config_.shards);
-  servers_.reserve(config_.shards);
-  for (std::size_t i = 0; i < config_.shards; ++i) {
-    NetConfig net = config_.net;
-    net.limiter = &limiter_;
-    net.reuse_port = config_.shards > 1;
-    if (i < config_.affinity.size()) net.affinity_cpus = config_.affinity[i];
-    sessions_.push_back(std::make_unique<ProtocolSession>(service_));
-    servers_.push_back(
-        std::make_unique<EventLoopServer>(service_, *sessions_.back(), net));
+    : limiter_(config.net.max_connections),
+      session_(std::make_unique<ProtocolSession>(service)) {
+  const std::size_t shards = std::max<std::size_t>(config.shards, 1);
+  servers_.reserve(shards);
+  for (std::size_t i = 0; i < shards; ++i) {
+    servers_.push_back(std::make_unique<EventLoopServer>(
+        service, *session_, config.net, limiter_,
+        /*reuse_port=*/shards > 1,
+        i < config.affinity.size() ? config.affinity[i] : std::vector<int>{}));
   }
 }
 
@@ -54,18 +51,14 @@ ShardedServer::~ShardedServer() {
   if (controller_.joinable()) stop();
   // A run() interrupted by an exception could leave sibling threads live;
   // make sure they are signalled and joined before the servers die.
-  stop_all_.store(true, std::memory_order_release);
   for (std::size_t i = 1; i < servers_.size(); ++i) servers_[i]->stop();
   for (std::thread& t : threads_) {
     if (t.joinable()) t.join();
   }
 }
 
-void ShardedServer::listen(const std::string& address) {
-  listen(parse_listen_address(address));
-}
-
-void ShardedServer::listen(const ListenAddress& address) {
+void ShardedServer::listen(const std::string& text) {
+  const ListenAddress address = parse_listen_address(text);
   if (address.is_unix && servers_.size() > 1) {
     throw MappingError(
         "sharded serving requires a TCP listen address (SO_REUSEPORT); "
@@ -85,7 +78,6 @@ const ListenAddress& ShardedServer::bound_address() const {
 }
 
 std::size_t ShardedServer::run(const std::function<bool()>& stop) {
-  stop_all_.store(false, std::memory_order_release);
   threads_.clear();
   threads_.reserve(servers_.size() - 1);
   for (std::size_t i = 1; i < servers_.size(); ++i) {
@@ -94,7 +86,6 @@ std::size_t ShardedServer::run(const std::function<bool()>& stop) {
   // Shard 0 owns the stop predicate; when it decides to exit, every sibling
   // is told to drain too, so the whole fleet quiesces together.
   servers_[0]->run(stop);
-  stop_all_.store(true, std::memory_order_release);
   for (std::size_t i = 1; i < servers_.size(); ++i) servers_[i]->stop();
   for (std::thread& t : threads_) {
     if (t.joinable()) t.join();
@@ -108,7 +99,6 @@ void ShardedServer::start() {
 }
 
 void ShardedServer::stop() {
-  stop_all_.store(true, std::memory_order_release);
   servers_[0]->stop();  // wakes shard 0; run() then stops the siblings
   if (controller_.joinable()) controller_.join();
 }

@@ -1,14 +1,17 @@
-// The sharded epoll server core (ROADMAP item 3): N independent event
-// loops, each with its own epoll instance, listener, NetCounters, and
-// ProtocolSession, all bound to the same TCP port via SO_REUSEPORT so the
-// kernel hash-partitions incoming connections. A connection lands on one
-// shard at accept time and stays there for life — its session state, its
-// write buffer, and its counters never cross a thread boundary, so the per
-// shard hot path keeps the single-threaded server's lock-free discipline.
-// Cross-shard coordination is exactly two objects: the shared
-// ConnectionLimiter (global --max-connections), and the MappingService
-// underneath, whose tree/plan/opt caches were already sharded and
-// thread-safe.
+// The socket server (ROADMAP item 3): N event loops (svc/event_loop.hpp),
+// each with its own epoll instance, listener and NetCounters, bound to the
+// same TCP port via SO_REUSEPORT so the kernel hash-partitions incoming
+// connections. A connection lands on one shard at accept time and stays
+// there for life — its read and write buffers and its counters never cross
+// a thread boundary. One shard is the plain single-loop server; `lamactl
+// serve --listen`, the tests and the benches all build this class.
+//
+// What the shards share: one ProtocolSession (the control plane —
+// allocations, epochs, REMAP baselines and the journal writer, behind the
+// session's own mutex), so a NODE defined on one connection is visible to
+// an OFFLINE on any other, whichever shard either landed on; one
+// ConnectionLimiter (the global --max-connections); and the MappingService
+// underneath, whose tree/plan/opt caches are sharded and thread-safe.
 //
 // Self-mapping: the server is itself a parallel process, so it places its
 // own shard threads with LAMA. compute_shard_affinity() wraps the
@@ -16,11 +19,6 @@
 // locality-preserving layout, and hands each shard the OS cpus of its
 // rank's target PUs — discovery keeps platform os indices exactly so this
 // works (topo/sysfs_topology.hpp).
-//
-// What does NOT shard: durability. ProtocolSession and dur::StateStore are
-// single-writer by design, and N sessions journaling into one store would
-// interleave un-serializably — the CLI refuses --state-dir with --shards
-// greater than one rather than corrupt a journal.
 #pragma once
 
 #include <cstddef>
@@ -39,13 +37,11 @@ class MappingService;
 class ProtocolSession;
 
 struct ShardServerConfig {
-  // Event-loop shards (>= 1). One shard degenerates to the plain
-  // EventLoopServer behaviour — same wire output, same counters.
+  // Event-loop shards (>= 1). One shard is the plain single-loop server.
   std::size_t shards = 1;
   // Per-shard loop configuration. `max_connections` is the GLOBAL cap
   // across every shard (enforced through one shared ConnectionLimiter, 0 =
-  // unlimited); `limiter`, `reuse_port` and `affinity_cpus` are owned by
-  // the sharded server and overwritten per shard.
+  // unlimited).
   NetConfig net;
   // OS cpus to pin each shard's loop thread to; entry i applies to shard i,
   // missing/empty entries leave that shard unpinned. Produced by
@@ -56,7 +52,7 @@ struct ShardServerConfig {
 // LAMA maps its own server: places `shards` ranks onto `machine` (a
 // one-node cluster of it) with the given rmaps layout and returns, per
 // shard, the OS indices of its target PUs — ready for
-// pthread_setaffinity_np via NetConfig::affinity_cpus. Returns an empty
+// pthread_setaffinity_np via ShardServerConfig::affinity. Returns an empty
 // vector when the machine cannot host the mapping (no online PU).
 std::vector<std::vector<int>> compute_shard_affinity(
     const NodeTopology& machine, std::size_t shards,
@@ -64,10 +60,9 @@ std::vector<std::vector<int>> compute_shard_affinity(
 
 class ShardedServer {
  public:
-  // `service` is caller-owned and must outlive the server. Each shard gets
-  // its own ProtocolSession over it (constructed here), so control-plane
-  // mutations (INTERN, EPOCH, ...) are per-shard state exactly like they
-  // are per-process state across lamactl instances today.
+  // `service` is caller-owned and must outlive the server. The one
+  // ProtocolSession every shard dispatches into is constructed here over
+  // it; restore durable state into session() before serving traffic.
   ShardedServer(MappingService& service, ShardServerConfig config);
   ~ShardedServer();
 
@@ -78,9 +73,13 @@ class ShardedServer {
   // equivalent worth the pretence) — throws MappingError otherwise. Pass
   // port 0 and shard 0 resolves it; siblings bind the resolved port.
   void listen(const std::string& address);
-  void listen(const ListenAddress& address);
 
   [[nodiscard]] const ListenAddress& bound_address() const;
+
+  // The control-plane session all shards share: restore_from() before
+  // run(), snapshot_lines()/state_digest() after it for the shutdown
+  // snapshot.
+  [[nodiscard]] ProtocolSession& session() { return *session_; }
 
   // Serves until `stop` returns true or stop() is called. Shard 0 runs on
   // the calling thread (it evaluates `stop`, preserving the single-shard
@@ -102,13 +101,10 @@ class ShardedServer {
   [[nodiscard]] const ConnectionLimiter& limiter() const { return limiter_; }
 
  private:
-  MappingService& service_;
-  ShardServerConfig config_;
   ConnectionLimiter limiter_;
-  std::vector<std::unique_ptr<ProtocolSession>> sessions_;
+  std::unique_ptr<ProtocolSession> session_;
   std::vector<std::unique_ptr<EventLoopServer>> servers_;
   std::vector<std::thread> threads_;  // shards 1..N-1 during run()
-  std::atomic<bool> stop_all_{false};
   std::thread controller_;  // start()/stop() wrapper around run()
 };
 

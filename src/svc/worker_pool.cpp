@@ -45,11 +45,6 @@ bool WorkerPool::try_submit(std::function<void()> task) {
   return true;
 }
 
-std::size_t WorkerPool::queue_depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
 void WorkerPool::worker_loop() {
   for (;;) {
     std::function<void()> task;

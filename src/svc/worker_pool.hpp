@@ -33,8 +33,6 @@ class WorkerPool {
 
   [[nodiscard]] std::size_t num_threads() const { return threads_.size(); }
   [[nodiscard]] std::size_t max_queue() const { return max_queue_; }
-  // Tasks currently waiting (racy under concurrency; for observability).
-  [[nodiscard]] std::size_t queue_depth() const;
 
   // Enqueues `fn` and returns a future for its result; exceptions propagate
   // through the future. With zero threads, runs `fn` before returning.

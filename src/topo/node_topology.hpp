@@ -35,7 +35,6 @@ class NodeTopology {
   NodeTopology& operator=(const NodeTopology& other);
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
 
   [[nodiscard]] const TopoObject& root() const { return *root_; }
 

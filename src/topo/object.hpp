@@ -50,7 +50,6 @@ class TopoObject {
   // --- mutation (used by builders and NodeTopology only) ---
   TopoObject& add_child(std::unique_ptr<TopoObject> child);
   void set_disabled(bool disabled) { disabled_ = disabled; }
-  void set_sibling_index(int i) { sibling_index_ = i; }
   void set_level_index(int i) { level_index_ = i; }
   void set_cpuset(Bitmap b) { cpuset_ = std::move(b); }
   [[nodiscard]] TopoObject& mutable_child(std::size_t i) {

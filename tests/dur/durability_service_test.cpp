@@ -9,10 +9,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -369,6 +372,60 @@ TEST(DurabilityService, LastLineMustCarryRanksZeroToNpInOrder) {
       EXPECT_EQ(drive.session.state_digest(), live.session.state_digest());
     }
   }
+}
+
+TEST(DurabilityService, MapRacingAnEpochChangeLeavesTheBaselineAlone) {
+  // A MAP maps with the session unlocked, so another connection can move
+  // its allocation's epoch meanwhile. The client still gets its mapping,
+  // but it must not become the REMAP baseline: its journaled line would
+  // replay after the OFFLINE, against the new epoch, and recover a
+  // different baseline than the live one.
+  dur::TempDir dir;
+  ASSERT_TRUE(dir.ok());
+  std::uint64_t live = 0;
+  {
+    MappingService service({.workers = 0});
+    dur::StateStore store({.dir = dir.path()});
+    service.attach_durability(&store);
+    SessionDriver drive(service);
+    drive.session.restore_from(store);
+    define_alloc(drive, small_alloc(), "a");
+
+    // The first mapping call parks until the OFFLINE has applied.
+    std::promise<void> parked;
+    std::promise<void> offlined;
+    std::shared_future<void> resume = offlined.get_future().share();
+    std::atomic<bool> first{true};
+    service.set_fault_hook([&] {
+      if (!first.exchange(false)) return;
+      parked.set_value();
+      resume.wait();
+    });
+    std::string mapped;
+    std::thread mapper([&] {
+      std::istringstream no_more;
+      mapped = drive.session.execute("MAP a 4 lama:scbnh", no_more);
+    });
+    parked.get_future().wait();
+    EXPECT_TRUE(starts_with(drive("OFFLINE a 0"), "OK offline"));
+    offlined.set_value();
+    mapper.join();
+    service.set_fault_hook(nullptr);
+
+    EXPECT_TRUE(starts_with(mapped, "OK hit=")) << mapped;
+    live = drive.session.state_digest();
+    // No baseline was installed, so REMAP has nothing to re-place (and,
+    // failing, journals nothing).
+    EXPECT_TRUE(starts_with(drive("REMAP a"),
+                            "ERR parse error: no previous lama mapping"));
+  }
+  MappingService service({.workers = 0});
+  dur::StateStore store({.dir = dir.path()});
+  SessionDriver restored(service);
+  const ProtocolSession::RecoveryInfo info = restored.session.restore_from(store);
+  EXPECT_TRUE(info.self_check_ok);
+  EXPECT_EQ(info.replay_errors, 0u);
+  EXPECT_EQ(restored.session.state_digest(), live);
 }
 
 }  // namespace

@@ -11,6 +11,10 @@
 #      recovery_ok=1, digest unchanged from the last durable state.
 #   3. SIGTERM a serving process: it drains and exits 0, leaving a flushed
 #      journal and a shutdown snapshot behind.
+#   4. The same as 1 over a 4-shard socket server: define and mutate with
+#      one-shot `--connect` calls, each on its own connection (so on any
+#      shard), kill -9, and require the stdin restart to recover the digest
+#      that the same commands give through one stdin session.
 #
 # Usage: kill_restart_test.sh <path-to-lamactl> <cluster-file>
 set -u
@@ -122,5 +126,45 @@ echo HEALTH | "$LAMACTL" serve --state-dir "$STATE" \
 [ "$(health_field "$WORK/out6" state_digest)" = "$DURABLE" ] || \
   fail "drain changed the digest"
 
-echo "PASS: kill -9 restart, torn tail, and SIGTERM drain all recovered"
+# --- 4. Four shards, one journal -------------------------------------------
+STATE4="$WORK/state4"
+"$LAMACTL" serve --listen tcp:127.0.0.1:0 --shards 4 --state-dir "$STATE4" \
+  </dev/null >"$WORK/out7" 2>"$WORK/err7" &
+SERVER=$!
+i=0
+until grep -q 'listening on' "$WORK/err7" 2>/dev/null; do
+  kill -0 "$SERVER" 2>/dev/null || \
+    fail "4-shard server exited: $(head -n 1 "$WORK/err7")"
+  i=$((i + 1))
+  [ "$i" -gt 100 ] && fail "4-shard server did not start: $(cat "$WORK/err7")"
+  sleep 0.1
+done
+PORT=$(sed -n 's/.*listening on tcp:[^:]*:\([0-9][0-9]*\).*/\1/p' "$WORK/err7")
+[ -n "$PORT" ] || fail "no port in: $(cat "$WORK/err7")"
+ADDR="tcp:127.0.0.1:$PORT"
+"$LAMACTL" query --cluster "$CLUSTER" -np 4 --id a --map-by lama:nsch \
+  --connect "$ADDR" >"$WORK/out8" || fail "query --connect: $(cat "$WORK/out8")"
+"$LAMACTL" offline --id a --node 1 --connect "$ADDR" >>"$WORK/out8" || \
+  fail "offline --connect: $(cat "$WORK/out8")"
+"$LAMACTL" remap --id a --connect "$ADDR" >>"$WORK/out8" || \
+  fail "remap --connect: $(cat "$WORK/out8")"
+kill -9 "$SERVER" 2>/dev/null
+wait "$SERVER" 2>/dev/null
+
+{ cat "$WORK/define.txt"; printf 'OFFLINE a 1\nREMAP a\nHEALTH\n'; } | \
+  "$LAMACTL" serve --no-persist >"$WORK/out9" 2>/dev/null || \
+  fail "reference stdin session exited nonzero"
+WANT=$(health_field "$WORK/out9" state_digest)
+[ -n "$WANT" ] || fail "no state_digest from the reference session"
+echo HEALTH | "$LAMACTL" serve --state-dir "$STATE4" \
+  >"$WORK/out10" 2>"$WORK/err10" || fail "4-shard restart exited nonzero"
+[ "$(health_field "$WORK/out10" recovered)" = "1" ] || \
+  fail "4-shard restart: recovered != 1"
+[ "$(health_field "$WORK/out10" recovery_ok)" = "1" ] || \
+  fail "4-shard recovery self-check failed: $(cat "$WORK/err10")"
+GOT=$(health_field "$WORK/out10" state_digest)
+[ "$GOT" = "$WANT" ] || \
+  fail "4-shard digest after kill -9: $GOT, one stdin session gives $WANT"
+
+echo "PASS: kill -9 restart (1 and 4 shards), torn tail, and SIGTERM drain all recovered"
 exit 0

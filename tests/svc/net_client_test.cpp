@@ -269,8 +269,7 @@ TEST(SocketClient, ReconnectsAfterServerRestart) {
   first.reset();  // connection dies with the server
 
   MappingService service(service_config);
-  ProtocolSession session(service);
-  EventLoopServer second(service, session);
+  ShardedServer second(service, ShardServerConfig{});
   second.listen("tcp:127.0.0.1:" + std::to_string(port));
   second.start();
 

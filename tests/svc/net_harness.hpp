@@ -1,4 +1,4 @@
-// Shared fixture for the socket-server suites: an EventLoopServer on a
+// Shared fixture for the socket-server suites: a ShardedServer on a
 // loopback port the kernel picks (port 0), plus a small blocking client that
 // speaks both framings. The client is deliberately primitive — raw
 // send/recv with a poll() deadline — so the tests exercise the server's
@@ -12,39 +12,52 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "support/error.hpp"
-#include "svc/event_loop.hpp"
 #include "svc/protocol.hpp"
 #include "svc/service.hpp"
+#include "svc/shard_server.hpp"
 #include "svc/wire.hpp"
 
 namespace lama::svc::testing {
 
-// A service + session + running event-loop server on 127.0.0.1:<kernel
+// A service + running server of `shards` event loops on 127.0.0.1:<kernel
 // port>. workers=0 keeps dispatch deterministic for differential tests.
 class TestServer {
  public:
-  explicit TestServer(NetConfig net = {}, ServiceConfig config = {.workers = 0})
-      : service_(config), session_(service_), server_(service_, session_, net) {
+  explicit TestServer(NetConfig net = {}, ServiceConfig config = {.workers = 0},
+                      std::size_t shards = 1)
+      : service_(config), server_(service_, ShardServerConfig{shards, net, {}}) {
     server_.listen("tcp:127.0.0.1:0");
     server_.start();
   }
   ~TestServer() { server_.stop(); }
 
   MappingService& service() { return service_; }
-  EventLoopServer& server() { return server_; }
-  const NetCounters& counters() const { return server_.net_counters(); }
+  ShardedServer& server() { return server_; }
+  // Shard 0's counters — every counter of a one-shard server.
+  const NetCounters& counters() const { return server_.shard_counters(0); }
   std::uint16_t port() const { return server_.bound_address().port; }
+
+  // Counter `field` summed across every shard.
+  std::uint64_t sum(std::atomic<std::uint64_t> NetCounters::* field) const {
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < server_.shards(); ++i) {
+      total += (server_.shard_counters(i).*field)
+                   .load(std::memory_order_relaxed);
+    }
+    return total;
+  }
 
  private:
   MappingService service_;
-  ProtocolSession session_;
-  EventLoopServer server_;
+  ShardedServer server_;
 };
 
 // Blocking loopback client with a deadline on every read.

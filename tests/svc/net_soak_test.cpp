@@ -1,5 +1,5 @@
-// Pipelined soak over real sockets: several client threads hammer one
-// EventLoopServer with deep pipelines of text and binary requests while the
+// Pipelined soak over real sockets: several client threads hammer a
+// one-shard server with deep pipelines of text and binary requests while the
 // loop thread dispatches and a sampler thread reads STATS/METRICS
 // concurrently (the cross-thread counter surface TSan must bless). The
 // invariant under test is exactly-once accounting (svc/counters.hpp):

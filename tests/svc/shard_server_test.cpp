@@ -1,12 +1,15 @@
 // The sharded server core: N SO_REUSEPORT event loops over one
-// MappingService. The suite soaks a 4-shard server with pipelined text and
-// binary clients while a sampler reads the aggregated STATS/METRICS
-// surface (the cross-shard counter traffic TSan must bless), and checks
-// the invariants the single-loop soak pins, now summed across shards:
-// exactly-once request/response pairing, accepted == closed at quiescence,
-// and dispatched() agreeing with the counters. The connection cap is
-// global — one ConnectionLimiter shared by every shard — and
-// compute_shard_affinity() is LAMA mapping its own server.
+// MappingService and one ProtocolSession. The suite soaks a 4-shard server
+// with pipelined text and binary clients while a sampler reads the
+// aggregated STATS/METRICS surface (the cross-shard counter traffic TSan
+// must bless), and checks the invariants the single-loop soak pins, now
+// summed across shards: exactly-once request/response pairing, accepted ==
+// closed at quiescence, and dispatched() agreeing with the counters. The
+// control plane is one session whichever shard a connection lands on —
+// concurrent mutations from every shard journal into one store that
+// recovers to the live digest. The connection cap is global — one
+// ConnectionLimiter shared by every shard — and compute_shard_affinity()
+// is LAMA mapping its own server.
 #include "svc/shard_server.hpp"
 
 #include <gtest/gtest.h>
@@ -15,13 +18,17 @@
 #include <atomic>
 #include <cstddef>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "dur/state_store.hpp"
+#include "dur/temp_dir.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 #include "svc/net_harness.hpp"
+#include "svc/protocol.hpp"
 #include "svc/wire.hpp"
 #include "topo/node_topology.hpp"
 
@@ -31,36 +38,7 @@ namespace {
 using testing::BlockingClient;
 using testing::figure2_node_line;
 using testing::frame_for;
-
-class ShardTestServer {
- public:
-  explicit ShardTestServer(std::size_t shards, NetConfig net = {},
-                           ServiceConfig config = {.workers = 0})
-      : service_(config),
-        server_(service_, ShardServerConfig{shards, net, {}}) {
-    server_.listen("tcp:127.0.0.1:0");
-    server_.start();
-  }
-  ~ShardTestServer() { server_.stop(); }
-
-  MappingService& service() { return service_; }
-  ShardedServer& server() { return server_; }
-  std::uint16_t port() const { return server_.bound_address().port; }
-
-  // Counter `field` summed across every shard.
-  std::uint64_t sum(std::atomic<std::uint64_t> NetCounters::* field) const {
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < server_.shards(); ++i) {
-      total += (server_.shard_counters(i).*field)
-                   .load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
- private:
-  MappingService service_;
-  ShardedServer server_;
-};
+using testing::TestServer;
 
 std::size_t pump_text(std::uint16_t port, std::size_t total,
                       std::size_t depth, const std::string& id) {
@@ -120,7 +98,7 @@ std::size_t pump_binary(std::uint16_t port, std::size_t total,
 TEST(ShardServer, FourShardSoakAccountsExactlyOnce) {
   constexpr std::size_t kClients = 4;
   constexpr std::size_t kPerClient = 100;
-  ShardTestServer server(4, {}, {.workers = 2});
+  TestServer server({}, {.workers = 2}, 4);
   ASSERT_EQ(server.server().shards(), 4u);
 
   std::atomic<std::size_t> ok_total{0};
@@ -186,7 +164,7 @@ TEST(ShardServer, FourShardSoakAccountsExactlyOnce) {
 TEST(ShardServer, ConnectionCapIsGlobalAcrossShards) {
   NetConfig net;
   net.max_connections = 2;  // global, not per shard
-  ShardTestServer server(4, net);
+  TestServer server(net, {.workers = 0}, 4);
 
   // Two admitted connections — confirmed by a served response — saturate
   // the cap no matter which shards they landed on.
@@ -236,7 +214,7 @@ TEST(ShardServer, UnixListenRequiresSingleShard) {
 TEST(ShardServer, SingleShardKeepsSingleLoopSurface) {
   // The degenerate configuration must not leak sharded-only telemetry:
   // exactly one attached counter set and no net_shards key in STATS.
-  ShardTestServer server(1);
+  TestServer server;
   ASSERT_EQ(server.server().shards(), 1u);
   EXPECT_EQ(server.service().net_shards(), 1u);
 
@@ -252,21 +230,134 @@ TEST(ShardServer, SingleShardKeepsSingleLoopSurface) {
   EXPECT_NE(line.find("net_text_requests="), std::string::npos);
 }
 
-TEST(ShardServer, EachShardCarriesItsOwnSession) {
-  // Session state (NODE interns) is shard-local by design: a client's
-  // allocation lives on the shard its connection landed on, and the same
-  // connection keeps seeing it — the guarantee pipelining relies on.
-  ShardTestServer server(4);
-  BlockingClient client(server.port());
-  ASSERT_TRUE(client.send_all(figure2_node_line("pinned") + "\n"));
+TEST(ShardServer, EveryShardSharesOneSession) {
+  // A NODE defined on one connection is seen by MAP, OFFLINE, REMAP and
+  // ONLINE on sixteen fresh ones, whichever of the four shards the kernel
+  // hashed each to — and every availability change moves one epoch.
+  TestServer server({}, {.workers = 0}, 4);
   std::string line;
-  ASSERT_TRUE(client.read_line(line));
-  ASSERT_TRUE(starts_with(line, "OK node"));
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(client.send_all("MAP pinned 4 lama:scbnh\n"));
+  {
+    BlockingClient client(server.port());
+    ASSERT_TRUE(client.send_all(figure2_node_line("shared") + "\n"));
     ASSERT_TRUE(client.read_line(line));
-    EXPECT_TRUE(starts_with(line, "OK")) << line;
+    ASSERT_EQ(line, "OK node shared n=1");
   }
+  std::size_t epoch = 1;
+  for (std::size_t i = 0; i < 16; ++i) {
+    const std::string pu = std::to_string(i / 4);
+    const std::string commands[] = {"MAP shared 4 lama:scbnh",
+                                    "OFFLINE shared 0 " + pu, "REMAP shared",
+                                    "ONLINE shared 0 " + pu};
+    const std::string& command = commands[i % 4];
+    BlockingClient client(server.port());
+    ASSERT_TRUE(client.send_all(command + "\n"));
+    ASSERT_TRUE(client.read_line(line)) << command;
+    EXPECT_TRUE(starts_with(line, "OK")) << command << " -> " << line;
+    if (i % 2 == 1) {
+      EXPECT_NE(line.find(" epoch=" + std::to_string(++epoch)),
+                std::string::npos)
+          << line;
+    }
+  }
+  std::size_t shards_used = 0;
+  for (std::size_t i = 0; i < server.server().shards(); ++i) {
+    if (server.server().shard_counters(i).accepted.load() > 0) ++shards_used;
+  }
+  EXPECT_GE(shards_used, 2u);  // 17 connections on one shard: p ~ 1e-10
+}
+
+// One client of the mutation soak: its own connection, a seeded mix of
+// every mutating verb (and MAP) over the two shared allocations. Each reply
+// must be one well-formed OK or ERR line; ERR is legitimate (a REMAP can
+// race an OFFLINE that leaves too few PUs).
+void mutate(std::uint16_t port, std::size_t client, std::size_t rounds) {
+  BlockingClient conn(port);
+  std::string line;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    const std::string id = (r + client) % 2 == 0 ? "x" : "y";
+    const std::string node = std::to_string((r / 2 + client) % 2);
+    std::string command;
+    switch ((r + client) % 5) {
+      case 0:
+        command = r < 5 ? figure2_node_line(id) : "MAP " + id + " 8 lama:nsch";
+        break;
+      case 1: command = "OFFLINE " + id + " " + node; break;
+      case 2: command = "MAP " + id + " 4 lama:scbnh"; break;
+      case 3: command = "ONLINE " + id + " " + node; break;
+      default: command = "REMAP " + id; break;
+    }
+    ASSERT_TRUE(conn.send_all(command + "\n"));
+    ASSERT_TRUE(conn.read_line(line, 30000)) << command;
+    EXPECT_TRUE(starts_with(line, "OK ") || starts_with(line, "ERR "))
+        << command << " -> " << line;
+  }
+}
+
+TEST(ShardServer, ConcurrentMutationsRecoverToTheLiveDigest) {
+  // Four shards mutate two shared allocations at once while a sampler reads
+  // STATS, METRICS and HEALTH (the store's counters from every shard). The
+  // journal must serialize the mutations in the order they applied: a
+  // session restored from the directory reports the live digest.
+  dur::TempDir dir;
+  ASSERT_TRUE(dir.ok());
+  dur::StateStore store({.dir = dir.path(), .snapshot_every = 16});
+  MappingService service({.workers = 2});
+  service.attach_durability(&store);
+  std::uint64_t live = 0;
+  {
+    ShardedServer server(service, ShardServerConfig{4, {}, {}});
+    server.session().restore_from(store);
+    server.listen("tcp:127.0.0.1:0");
+    server.start();
+    const std::uint16_t port = server.bound_address().port;
+    {
+      BlockingClient setup(port);
+      std::string line;
+      for (const char* id : {"x", "y"}) {
+        for (int n = 0; n < 2; ++n) {
+          ASSERT_TRUE(setup.send_all(figure2_node_line(id) + "\n"));
+          ASSERT_TRUE(setup.read_line(line));
+          ASSERT_TRUE(starts_with(line, "OK node")) << line;
+        }
+      }
+    }
+    std::atomic<bool> sampling{true};
+    std::thread sampler([&] {
+      BlockingClient probe(port);
+      std::string line;
+      while (sampling.load(std::memory_order_relaxed)) {
+        if (!probe.send_all("STATS\nMETRICS\nHEALTH\n")) break;
+        ASSERT_TRUE(probe.read_line(line));
+        EXPECT_TRUE(starts_with(line, "STATS ")) << line;
+        do {
+          ASSERT_TRUE(probe.read_line(line));
+        } while (line != "# EOF");
+        ASSERT_TRUE(probe.read_line(line));
+        EXPECT_TRUE(starts_with(line, "OK health ")) << line;
+      }
+    });
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < 4; ++c) {
+      clients.emplace_back([port, c] { mutate(port, c, 40); });
+    }
+    for (std::thread& t : clients) t.join();
+    sampling.store(false, std::memory_order_relaxed);
+    sampler.join();
+    server.stop();
+    live = server.session().state_digest();
+  }
+  EXPECT_GE(store.stats().snapshots, 1u);  // rotations ran under the soak
+
+  dur::StateStore reopened({.dir = dir.path()});
+  MappingService fresh({.workers = 0});
+  ProtocolSession restored(fresh);
+  const ProtocolSession::RecoveryInfo info = restored.restore_from(reopened);
+  EXPECT_TRUE(info.recovered);
+  EXPECT_EQ(info.replay_errors, 0u);
+  std::istringstream no_more;
+  const std::string health = restored.execute("HEALTH", no_more);
+  EXPECT_NE(health.find(" recovery_ok=1 "), std::string::npos) << health;
+  EXPECT_EQ(restored.state_digest(), live);
 }
 
 TEST(ShardAffinity, MapsShardsOntoDistinctPus) {

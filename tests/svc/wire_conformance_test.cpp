@@ -129,6 +129,32 @@ std::uint64_t digest_over_text(std::uint16_t port) {
   return std::stoull(line.substr(at + 13), nullptr, 16);
 }
 
+// The script with the framing alternating per command, each command on a
+// fresh connection; every response must match the reference.
+void run_interleaved(const std::vector<Command>& script, const Reference& ref,
+                     std::uint16_t port) {
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    if (i % 2 == 0) {
+      BlockingClient text(port);
+      ASSERT_TRUE(text.send_all(script[i].text()));
+      std::string got;
+      std::string line;
+      while (got.size() < ref.responses[i].size() && text.read_line(line)) {
+        got += line + "\n";
+      }
+      EXPECT_EQ(got, ref.responses[i]) << script[i].line;
+    } else {
+      BlockingClient binary(port);
+      ASSERT_TRUE(binary.send_all(binary_frame(script[i])));
+      WireVerb verb = WireVerb::kOk;
+      std::string payload;
+      ASSERT_TRUE(binary.read_frame(verb, payload)) << script[i].line;
+      EXPECT_EQ(payload, binary_expected(script[i], ref.responses[i]))
+          << script[i].line;
+    }
+  }
+}
+
 TEST(WireConformance, TextSocketMatchesReferenceByteForByte) {
   const std::vector<Command> script = deterministic_script();
   const Reference ref = run_reference(script);
@@ -180,34 +206,20 @@ TEST(WireConformance, BinarySocketMatchesReferencePerCommand) {
 }
 
 TEST(WireConformance, BothFramingsLeaveIdenticalStateOnOneServer) {
-  // Interleave framings against one server: a text connection and a binary
-  // connection mutate the same session; the digest must track the combined
-  // command order regardless of which framing carried each command.
+  // Interleave framings against one server, a fresh connection per command:
+  // text and binary connections mutate the same session; the digest must
+  // track the combined command order regardless of which framing carried
+  // each command — or, at four shards, which shard the kernel hashed each
+  // connection to.
   const std::vector<Command> script = deterministic_script();
   const Reference ref = run_reference(script);
 
-  TestServer server;
-  for (std::size_t i = 0; i < script.size(); ++i) {
-    if (i % 2 == 0) {
-      BlockingClient text(server.port());
-      ASSERT_TRUE(text.send_all(script[i].text()));
-      std::string got;
-      std::string line;
-      while (got.size() < ref.responses[i].size() && text.read_line(line)) {
-        got += line + "\n";
-      }
-      EXPECT_EQ(got, ref.responses[i]) << script[i].line;
-    } else {
-      BlockingClient binary(server.port());
-      ASSERT_TRUE(binary.send_all(binary_frame(script[i])));
-      WireVerb verb = WireVerb::kOk;
-      std::string payload;
-      ASSERT_TRUE(binary.read_frame(verb, payload)) << script[i].line;
-      EXPECT_EQ(payload, binary_expected(script[i], ref.responses[i]))
-          << script[i].line;
-    }
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    TestServer server({}, {.workers = 0}, shards);
+    run_interleaved(script, ref, server.port());
+    EXPECT_EQ(digest_over_text(server.port()), ref.digest);
   }
-  EXPECT_EQ(digest_over_text(server.port()), ref.digest);
 }
 
 TEST(WireConformance, VolatileVerbsAgreeStructurally) {

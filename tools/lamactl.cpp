@@ -40,7 +40,6 @@
 #include "support/table.hpp"
 #include "support/numa.hpp"
 #include "svc/client.hpp"
-#include "svc/event_loop.hpp"
 #include "svc/fault_injector.hpp"
 #include "svc/protocol.hpp"
 #include "svc/service.hpp"
@@ -192,13 +191,6 @@ int run_serve(const std::vector<std::string>& args) {
   if (shards > 1 && listen_addr.empty()) {
     throw ParseError("--shards > 1 requires --listen (stdin is one stream)");
   }
-  if (shards > 1 && !dur_config.dir.empty() && persist) {
-    // The durability journal is single-writer and sessions are shard-local;
-    // N shards journaling into one store would interleave un-serializably.
-    throw ParseError(
-        "--state-dir requires --shards 1 (one journal, one writer); "
-        "use --no-persist to shard without durability");
-  }
 
   // --discover-topology: parse the real machine out of sysfs, NUMA-place
   // the cache shards on it, and let LAMA map the server's own shard
@@ -226,8 +218,17 @@ int run_serve(const std::vector<std::string>& args) {
   install_trace_dump(service, trace_dump, trace_dump_cap);
   install_shutdown_signals();
 
+  // One control-plane session: the socket server's, shared by every shard,
+  // or a stdin session of its own.
   std::unique_ptr<dur::StateStore> store;
-  svc::ProtocolSession session(service);
+  std::optional<svc::ShardedServer> server;
+  std::optional<svc::ProtocolSession> stdin_session;
+  svc::ProtocolSession& session =
+      listen_addr.empty()
+          ? stdin_session.emplace(service)
+          : server.emplace(service, svc::ShardServerConfig{shards, net_config,
+                                                           shard_affinity})
+                .session();
   if (!dur_config.dir.empty() && persist) {
     store = std::make_unique<dur::StateStore>(dur_config);
     service.attach_durability(store.get());
@@ -246,36 +247,23 @@ int run_serve(const std::vector<std::string>& args) {
     if (g_signal != 0 && !service.draining()) service.begin_drain();
     return service.draining();
   };
-  if (!listen_addr.empty() && shards > 1) {
-    // Sharded socket mode: N epoll loops behind one SO_REUSEPORT port,
-    // shard-local sessions, one global connection cap, shard threads
-    // pinned by LAMA's own mapping when the topology was discovered.
-    svc::ShardServerConfig shard_config;
-    shard_config.shards = shards;
-    shard_config.net = net_config;
-    shard_config.affinity = shard_affinity;
-    svc::ShardedServer server(service, shard_config);
-    server.listen(listen_addr);
-    std::fprintf(stderr, "lamactl: listening on %s with %zu shards%s\n",
-                 server.bound_address().to_string().c_str(), shards,
-                 shard_affinity.empty() ? "" : " (affinity mapped)");
-    server.run(stop);
-    if (stats) {
-      std::fprintf(stderr, "STATS %s\n", service.stats_line().c_str());
+  if (server.has_value()) {
+    // Socket mode: N epoll loops (one by default) behind one SO_REUSEPORT
+    // port serve many keep-alive connections, text or binary framing per
+    // connection (docs/service.md), with one global connection cap and
+    // shard threads pinned by LAMA's own mapping when the topology was
+    // discovered. The drain closes the acceptors, flushes in-flight
+    // connections, then falls through to the snapshot below.
+    server->listen(listen_addr);
+    if (shards > 1) {
+      std::fprintf(stderr, "lamactl: listening on %s with %zu shards%s\n",
+                   server->bound_address().to_string().c_str(), shards,
+                   shard_affinity.empty() ? "" : " (affinity mapped)");
+    } else {
+      std::fprintf(stderr, "lamactl: listening on %s\n",
+                   server->bound_address().to_string().c_str());
     }
-  } else if (!listen_addr.empty()) {
-    // Socket mode: the epoll event loop serves many keep-alive connections,
-    // text or binary framing per connection (docs/service.md). The drain
-    // closes the acceptor, flushes in-flight connections, then falls
-    // through to the snapshot below.
-    if (!shard_affinity.empty()) {
-      net_config.affinity_cpus = shard_affinity.front();
-    }
-    svc::EventLoopServer server(service, session, net_config);
-    server.listen(listen_addr);
-    std::fprintf(stderr, "lamactl: listening on %s\n",
-                 server.bound_address().to_string().c_str());
-    server.run(stop);
+    server->run(stop);
     if (stats) {
       std::fprintf(stderr, "STATS %s\n", service.stats_line().c_str());
     }
@@ -1857,7 +1845,8 @@ int main(int argc, char** argv) {
         "               # connection cap); --discover-topology parses sysfs\n"
         "               # and LAMA maps the shard threads onto the machine\n"
         "               # --state-dir journals mutations and restores them\n"
-        "               # on restart (--shards 1 only); SIGTERM/SIGINT drain\n"
+        "               # on restart (all shards share one session and one\n"
+        "               # journal); SIGTERM/SIGINT drain\n"
         "       lamactl query --cluster <file> [--hostfile <file>] -np N\n"
         "               [--map-by <spec>] [--bind-to <level>] [--id <name>]\n"
         "               [--npernode N] [--timeout-ms N] [--stats]\n"
