@@ -3,6 +3,7 @@
 // determinism contract across worker-pool sizes.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <sstream>
 
@@ -265,6 +266,34 @@ TEST(OptimizeProtocol, StatsExposeOptCounters) {
     }
   }
   EXPECT_TRUE(saw_metric);
+}
+
+std::string read_golden(const std::string& name) {
+  const std::string path = std::string(LAMA_TEST_GOLDEN_DIR) + "/" + name;
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << "missing golden file " << path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// Pins the OPTIMIZE reply bytes: cost, baseline, source, swap count and
+// placement. The script covers 16 x socket:2 core:4 pu:2 with seeded
+// degree-4 matrix payloads at np 64 and named patterns at np 128 and 256
+// (multisection wins stride at np 128), a heterogeneous allocation with
+// off-lined PUs under passes=1 and budget=4 and a dense-row payload, and
+// every case again with threads=2 after an epoch bump drops the cache.
+TEST(OptimizeProtocol, GoldenScriptRepliesAreByteIdentical) {
+  MappingService service({.workers = 2});
+  const std::vector<std::string> replies =
+      run_session(read_golden("optimize_script.txt"), service);
+  std::vector<std::string> golden =
+      split(read_golden("optimize_replies.txt"), '\n');
+  if (!golden.empty() && golden.back().empty()) golden.pop_back();
+  ASSERT_EQ(replies.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    ASSERT_EQ(replies[i], golden[i]) << "reply " << i;
+  }
 }
 
 }  // namespace
