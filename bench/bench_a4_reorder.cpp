@@ -2,9 +2,11 @@
 // processes; reordering only permutes rank numbers within the slots a
 // mapping already chose (no launch-time control needed). Measures how much
 // of the gap between a naive mapping and the matrix-driven mapper a
-// reordering pass recovers, and what the O(n^3) exchange passes cost.
+// reordering pass recovers, and what the exchange passes cost: O(np^2 * d)
+// each for a matrix of average degree d.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 
 #include "lama/baselines.hpp"
@@ -58,8 +60,9 @@ void print_reorder_report() {
 }
 
 void BM_ReorderPass(benchmark::State& state) {
-  const Allocation alloc = numa_cluster();
   const std::size_t np = static_cast<std::size_t>(state.range(0));
+  // 32 PUs per node: one PU per rank from np 64 up.
+  const Allocation alloc = numa_cluster(std::max<std::size_t>(2, np / 32));
   const TrafficPattern pattern =
       make_random_sparse(static_cast<int>(np), 4, 4096, 23);
   const CommMatrix matrix = CommMatrix::from_pattern(pattern);
@@ -69,7 +72,7 @@ void BM_ReorderPass(benchmark::State& state) {
     benchmark::DoNotOptimize(reorder_ranks(alloc, base, matrix, model, 2));
   }
 }
-BENCHMARK(BM_ReorderPass)->Arg(16)->Arg(32)->Arg(64)
+BENCHMARK(BM_ReorderPass)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

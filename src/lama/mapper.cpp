@@ -103,6 +103,25 @@ struct MapWalk {
   }
 };
 
+// Whether `mtree` is the tree lama_map would build for (alloc, layout): the
+// constructor reads the layout's within-node levels (in containment order)
+// and whether it has 'n', and nothing else of it.
+bool tree_fits(const MaximalTree& mtree, const Allocation& alloc,
+               const ProcessLayout& layout) {
+  if (mtree.num_nodes() != alloc.num_nodes()) return false;
+  const std::vector<ResourceType>& levels = mtree.node_levels();
+  std::size_t j = 0;
+  for (ResourceType t : all_resource_types()) {
+    if (t == ResourceType::kNode || !layout.contains(t)) continue;
+    if (j == levels.size() || levels[j] != t) return false;
+    ++j;
+  }
+  const std::size_t node_width =
+      layout.contains(ResourceType::kNode) ? alloc.num_nodes() : 1;
+  return j == levels.size() &&
+         mtree.width_of(ResourceType::kNode) == node_width;
+}
+
 }  // namespace
 
 MappingResult lama_map(const Allocation& alloc, const ProcessLayout& layout,
@@ -116,6 +135,10 @@ MappingResult lama_map(const Allocation& alloc, const ProcessLayout& layout,
 MappingResult lama_map(const Allocation& alloc, const ProcessLayout& layout,
                        const MapOptions& opts, const MaximalTree& mtree) {
   detail::validate_map_inputs(alloc, layout, opts);
+  if (!tree_fits(mtree, alloc, layout)) {
+    throw MappingError("maximal tree was built for other levels than layout " +
+                       layout.to_string());
+  }
   detail::check_oversubscribe(mtree, opts);
 
   MapWalk walk(mtree, layout, opts);

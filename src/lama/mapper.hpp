@@ -68,11 +68,16 @@ MappingResult lama_map(const Allocation& alloc, const std::string& layout,
                        const MapOptions& opts);
 
 // Maps onto a pre-built maximal tree. `mtree` must have been constructed
-// from this same `alloc` and `layout`; it is only read, never written, so
-// one shared tree may serve many concurrent lama_map calls — this is the
-// cached fast path of the mapping service (svc/), which pays the tree
-// construction once per distinct (allocation, layout) and amortizes it over
-// every repeated query.
+// from this same `alloc` and from a layout that keeps the same within-node
+// levels as `layout` and agrees on whether 'n' is present — the only parts
+// of a layout a tree depends on — so "scbnh" and "hcsbn" share one tree.
+// A tree that does not fit throws MappingError. It is only read, never
+// written, so one shared tree may serve many concurrent lama_map calls —
+// this is the cached fast path of the mapping service (svc/), which pays
+// the tree construction once per distinct (allocation, layout) and
+// amortizes it over every repeated query, and the optimizer's, which
+// builds one tree per group of seed layouts that agree on both
+// (opt/candidates.hpp).
 MappingResult lama_map(const Allocation& alloc, const ProcessLayout& layout,
                        const MapOptions& opts, const MaximalTree& mtree);
 

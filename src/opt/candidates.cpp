@@ -85,15 +85,50 @@ std::vector<CandidateSpec> make_candidates(const Allocation& alloc,
   return specs;
 }
 
+std::vector<std::vector<std::size_t>> group_by_tree(
+    const std::vector<CandidateSpec>& specs) {
+  std::vector<std::vector<std::size_t>> groups;
+  // The (levels, 'n' present) key of each group; multisection keys apart.
+  std::vector<std::pair<std::vector<ResourceType>, int>> keys;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    std::pair<std::vector<ResourceType>, int> key{{}, -1};
+    if (specs[i].kind != CandidateSpec::Kind::kMultisection) {
+      const ProcessLayout layout = ProcessLayout::parse(specs[i].layout);
+      key = {layout.node_levels_by_containment(),
+             layout.contains(ResourceType::kNode) ? 1 : 0};
+    }
+    const auto k = static_cast<std::size_t>(
+        std::find(keys.begin(), keys.end(), key) - keys.begin());
+    if (k == keys.size()) {
+      keys.push_back(std::move(key));
+      groups.emplace_back();
+    }
+    groups[k].push_back(i);
+  }
+  return groups;
+}
+
+std::unique_ptr<const MaximalTree> group_tree(const Allocation& alloc,
+                                              const CandidateSpec& first) {
+  if (first.kind == CandidateSpec::Kind::kMultisection) return nullptr;
+  return std::make_unique<const MaximalTree>(
+      alloc, ProcessLayout::parse(first.layout));
+}
+
 MappingResult realize_candidate(const Allocation& alloc,
                                 const CommMatrix& matrix, std::size_t np,
-                                const CandidateSpec& spec) {
+                                const CandidateSpec& spec,
+                                const MaximalTree* tree) {
   MapOptions opts;
   opts.np = np;
   opts.allow_oversubscribe = true;
+  auto walk = [&](const MapOptions& o) {
+    LAMA_ASSERT(tree != nullptr);
+    return lama_map(alloc, ProcessLayout::parse(spec.layout), o, *tree);
+  };
   switch (spec.kind) {
     case CandidateSpec::Kind::kLayout:
-      return lama_map(alloc, spec.layout, opts);
+      return walk(opts);
     case CandidateSpec::Kind::kMultisection: {
       // The partitioner does not wrap around; beyond capacity the seed is
       // simply unavailable (OversubscribeError propagates to the caller).
@@ -104,7 +139,7 @@ MappingResult realize_candidate(const Allocation& alloc,
     }
     case CandidateSpec::Kind::kCappedPack: {
       opts.set_cap(ResourceType::kNode, spec.npernode);
-      return lama_map(alloc, spec.layout, opts);
+      return walk(opts);
     }
   }
   throw MappingError("unknown candidate kind");

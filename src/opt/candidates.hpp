@@ -15,11 +15,13 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "lama/mapper.hpp"
+#include "lama/maximal_tree.hpp"
 #include "tmatch/comm_matrix.hpp"
 
 namespace lama::opt {
@@ -51,10 +53,28 @@ std::vector<CandidateSpec> make_candidates(const Allocation& alloc,
                                            std::size_t max_candidates,
                                            std::size_t max_pack_shapes = 8);
 
-// Materializes one candidate: runs the lama walk / multisection partitioner
-// for `spec`. Throws on infeasible candidates (e.g. multisection beyond
-// capacity) — callers treat that as "seed not available", not an error.
+// The seeds grouped by the maximal tree they walk, as spec indices in
+// ascending order, the groups in the order of their first index. A tree
+// depends on its layout only through the within-node levels the layout
+// keeps and whether it has 'n' (lama/maximal_tree.cpp), so the layout seeds
+// that agree on both share one: the canonical head and the capped packs
+// form two groups on any allocation. Multisection, which walks no tree, is
+// a group of its own.
+std::vector<std::vector<std::size_t>> group_by_tree(
+    const std::vector<CandidateSpec>& specs);
+
+// The tree a group's layout seeds share: built from the group's first spec
+// (null for multisection).
+std::unique_ptr<const MaximalTree> group_tree(const Allocation& alloc,
+                                              const CandidateSpec& first);
+
+// Materializes one candidate: runs the lama walk on `tree`, its group's
+// tree (only read, so concurrent calls may share it), or the multisection
+// partitioner, for which `tree` is null. Throws on infeasible candidates
+// (e.g. multisection beyond capacity) — callers treat that as "seed not
+// available", not an error.
 MappingResult realize_candidate(const Allocation& alloc, const CommMatrix& matrix,
-                                std::size_t np, const CandidateSpec& spec);
+                                std::size_t np, const CandidateSpec& spec,
+                                const MaximalTree* tree);
 
 }  // namespace lama::opt

@@ -1,5 +1,6 @@
 #include "opt/optimizer.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <limits>
@@ -29,19 +30,49 @@ void check_deadline(std::uint64_t deadline_ns) {
   }
 }
 
-// The evaluator prices TrafficPatterns; rebuild one from the accumulated
-// matrix (one message per communicating pair — the matrix already folded
-// direction and multiplicity, so total volume is preserved).
-TrafficPattern pattern_from_matrix(const CommMatrix& matrix) {
-  TrafficPattern p{"matrix", matrix.np(), {}};
-  for (int a = 0; a < matrix.np(); ++a) {
-    for (int b = a + 1; b < matrix.np(); ++b) {
-      const double bytes = matrix.at(a, b);
-      if (bytes <= 0.0) continue;
-      p.messages.push_back({a, b, static_cast<std::size_t>(bytes)});
+// J over the graph's upper triangle: one message per communicating pair (the
+// matrix already folded direction and multiplicity, so total volume is
+// preserved), in (a, b) order — the order and the terms the evaluator adds
+// for the pattern with those messages, so the total has the same bits.
+double placement_cost_ns(const Allocation& alloc, const MappingResult& mapping,
+                         const CommGraph& graph, const DistanceModel& model) {
+  if (static_cast<std::size_t>(graph.np()) != mapping.num_procs()) {
+    throw MappingError("matrix has " + std::to_string(graph.np()) +
+                       " ranks but the mapping " +
+                       std::to_string(mapping.num_procs()));
+  }
+  const SlotPricer pricer(alloc, mapping, model);
+  double total_ns = 0.0;
+  std::vector<std::size_t> nic_bytes(alloc.num_nodes(), 0);
+  for (int a = 0; a < graph.np(); ++a) {
+    const std::size_t slot_a = static_cast<std::size_t>(a);
+    for (const CommGraph::Edge& e : graph.row(a)) {
+      if (e.peer <= a) continue;
+      const std::size_t slot_b = static_cast<std::size_t>(e.peer);
+      const std::size_t bytes = static_cast<std::size_t>(e.bytes);
+      total_ns += pricer.pair_ns(slot_a, slot_b, bytes);
+      if (pricer.node(slot_a) != pricer.node(slot_b)) {
+        nic_bytes[pricer.node(slot_a)] += bytes;
+        nic_bytes[pricer.node(slot_b)] += bytes;
+      }
     }
   }
-  return p;
+  std::size_t max_nic_bytes = 0;
+  for (const std::size_t b : nic_bytes) {
+    max_nic_bytes = std::max(max_nic_bytes, b);
+  }
+  // Congestion term: the hottest NIC drains its bytes serially at network
+  // bandwidth, weighted by the fan-in a commodity node aims at one
+  // interface. Without this term, rank-permutation-invariant traffic
+  // (uniform all-to-all) cannot distinguish distribution shapes — the
+  // evaluator's total is minimized by the most skewed packing, which
+  // saturates one NIC. The weight is a calibration constant in the spirit
+  // of the distance model's link costs: its magnitude (not its exact
+  // value) is what makes NIC pressure comparable to per-message cost.
+  constexpr double kCongestionWeight = 8.0;
+  const double drain_ns = static_cast<double>(max_nic_bytes) /
+                          model.network_cost().bandwidth_gb_s;
+  return total_ns + kCongestionWeight * drain_ns;
 }
 
 struct Priced {
@@ -61,20 +92,7 @@ std::uint64_t OptBudget::key() const {
 
 double placement_cost_ns(const Allocation& alloc, const MappingResult& mapping,
                          const CommMatrix& matrix, const DistanceModel& model) {
-  const TrafficPattern pattern = pattern_from_matrix(matrix);
-  const CostReport report = evaluate_mapping(alloc, mapping, pattern, model);
-  // Congestion term: the hottest NIC drains its bytes serially at network
-  // bandwidth, weighted by the fan-in a commodity node aims at one
-  // interface. Without this term, rank-permutation-invariant traffic
-  // (uniform all-to-all) cannot distinguish distribution shapes — the
-  // evaluator's total is minimized by the most skewed packing, which
-  // saturates one NIC. The weight is a calibration constant in the spirit
-  // of the distance model's link costs: its magnitude (not its exact
-  // value) is what makes NIC pressure comparable to per-message cost.
-  constexpr double kCongestionWeight = 8.0;
-  const double drain_ns = static_cast<double>(report.max_nic_bytes) /
-                          model.network_cost().bandwidth_gb_s;
-  return report.total_ns + kCongestionWeight * drain_ns;
+  return placement_cost_ns(alloc, mapping, CommGraph(matrix), model);
 }
 
 OptimizeResult optimize_placement(const Allocation& alloc,
@@ -88,16 +106,23 @@ OptimizeResult optimize_placement(const Allocation& alloc,
   if (specs.empty()) throw MappingError("no placement candidates for np");
   check_deadline(budget.deadline_ns);
 
-  // Phase 1: price every seed. Each task writes only its own slot, so any
-  // execution order yields the same vector; infeasible seeds (multisection
-  // beyond capacity, a cap too tight for np) stay infinite-cost. Deadline
-  // expiry inside a task must not be mistaken for infeasibility — it is
-  // re-checked (and throws) on the coordinating thread after the join.
+  // Phase 1: price every seed. The graph is built here, once, and only
+  // read by the tasks. The seeds run one tree group at a time: the group's
+  // tree is built before its tasks are dispatched and dropped after they
+  // join, so one seed tree is alive at a time. Each task writes only its
+  // own slot, so any execution order yields the same vector; infeasible
+  // seeds (multisection beyond capacity, a cap too tight for np) stay
+  // infinite-cost. Deadline expiry inside a task must not be mistaken for
+  // infeasibility — it is re-checked (and throws) on the coordinating
+  // thread after the join.
+  const CommGraph graph(matrix);
   std::vector<Priced> priced(specs.size());
-  auto eval_one = [&](std::size_t i) {
+  auto eval_one = [&](std::size_t i, const MaximalTree* tree) {
+    const obs::SpanScope span(obs::Stage::kOptCandidate,
+                              static_cast<std::uint32_t>(i));
     try {
-      MappingResult m = realize_candidate(alloc, matrix, np, specs[i]);
-      const double cost = placement_cost_ns(alloc, m, matrix, model);
+      MappingResult m = realize_candidate(alloc, matrix, np, specs[i], tree);
+      const double cost = placement_cost_ns(alloc, m, graph, model);
       priced[i].mapping = std::move(m);
       priced[i].cost_ns = cost;
       priced[i].feasible = true;
@@ -106,20 +131,20 @@ OptimizeResult optimize_placement(const Allocation& alloc,
     }
     check_deadline(budget.deadline_ns);
   };
-  if (parallel) {
-    parallel(specs.size(), [&](std::size_t i) {
-      try {
-        eval_one(i);
-      } catch (const CancelledError&) {
-        // Swallowed here so one expired task cannot tear down the pool;
-        // rethrown below once every slot has settled.
-      }
-    });
-  } else {
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      const obs::SpanScope span(obs::Stage::kOptCandidate,
-                                static_cast<std::uint32_t>(i));
-      eval_one(i);
+  for (const std::vector<std::size_t>& group : group_by_tree(specs)) {
+    const std::unique_ptr<const MaximalTree> tree =
+        group_tree(alloc, specs[group.front()]);
+    if (parallel) {
+      parallel(group.size(), [&](std::size_t k) {
+        try {
+          eval_one(group[k], tree.get());
+        } catch (const CancelledError&) {
+          // Swallowed here so one expired task cannot tear down the pool;
+          // rethrown below once every slot has settled.
+        }
+      });
+    } else {
+      for (const std::size_t i : group) eval_one(i, tree.get());
     }
   }
   check_deadline(budget.deadline_ns);
@@ -154,6 +179,7 @@ OptimizeResult optimize_placement(const Allocation& alloc,
     result.best_layout_cost_ns = priced[best_canonical].cost_ns;
   }
   result.mapping = std::move(priced[best].mapping);
+  priced.clear();  // the other seeds' placements: refinement needs none
 
   // Phase 3: refine the winner by pairwise rank exchange. The reorderer
   // minimizes evaluator cost, not J; accept its permutation only if J —
@@ -161,16 +187,16 @@ OptimizeResult optimize_placement(const Allocation& alloc,
   if (budget.refine_passes > 0 && np > 1) {
     check_deadline(budget.deadline_ns);
     const obs::SpanScope refine_span(obs::Stage::kOptRefine);
-    const ReorderResult refined = reorder_ranks(alloc, result.mapping, matrix,
-                                                model, budget.refine_passes);
+    ReorderResult refined = reorder_ranks(alloc, result.mapping, graph, model,
+                                          budget.refine_passes);
     result.refine_passes = refined.passes;
     if (refined.swaps_applied > 0) {
       const double refined_cost =
-          placement_cost_ns(alloc, refined.mapping, matrix, model);
+          placement_cost_ns(alloc, refined.mapping, graph, model);
       if (refined_cost < result.cost_ns) {
         result.cost_ns = refined_cost;
         result.refine_swaps = refined.swaps_applied;
-        result.mapping = refined.mapping;
+        result.mapping = std::move(refined.mapping);
         result.source += "+refined";
       }
     }

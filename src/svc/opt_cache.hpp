@@ -1,10 +1,10 @@
 // The optimization-result cache: OptimizeResults (opt/optimizer.hpp) cached
 // beside the tree and plan caches, keyed by (allocation fingerprint,
 // communication-matrix digest, budget) — the full input of an OPTIMIZE
-// request. A placement search costs many mapping walks plus O(n^3)
-// refinement, so repeat requests for the same traffic on the same
-// allocation (the common steady-state: one application profile, many
-// launches) must be a lookup, not a search.
+// request. A placement search costs many mapping walks plus refinement
+// passes of O(np^2 * d) each, so repeat requests for the same traffic on
+// the same allocation (the common steady-state: one application profile,
+// many launches) must be a lookup, not a search.
 //
 // Invalidation mirrors the tree cache: invalidate_alloc() drops every
 // result computed over a fingerprint when an epoch bump retires the

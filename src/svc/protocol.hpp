@@ -77,10 +77,14 @@ inline constexpr std::size_t kMaxPusPerProc = 1u << 12;
 inline constexpr std::size_t kMaxBatch = 4096;          // jobs per (MAP)BATCH
 inline constexpr std::size_t kMaxTimeoutMs = 3'600'000; // one hour
 inline constexpr std::size_t kMaxNodesPerAlloc = 1u << 16;
-// OPTIMIZE runs an O(np^2) evaluation per candidate and O(np^3) refinement
-// passes, so its np is bounded far below kMaxNp — a hostile count must not
-// buy minutes of CPU with one line. The matrix payload and search knobs are
-// bounded for the same reason.
+// OPTIMIZE's np is bounded far below kMaxNp — a hostile count must not buy
+// minutes of CPU with one line. Refinement passes cost O(np^2 * d) for a
+// matrix of average degree d, since the pair loop visits every rank pair
+// whatever the graph, and the matrix is stored dense, so parsing, hashing
+// and scanning it cost O(np^2) even when it is sparse: 256 stays the bound
+// until the search visits only graph neighbourhoods and the matrix is
+// stored sparse. The matrix payload and search knobs are bounded for the
+// same reason.
 inline constexpr std::size_t kMaxOptNp = 256;           // processes
 inline constexpr std::size_t kMaxOptMatrixLines = 8192; // payload lines
 inline constexpr std::size_t kMaxOptCandidates = 64;    // budget=

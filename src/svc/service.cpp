@@ -375,8 +375,8 @@ OptimizeResponse MappingService::optimize(const OptimizeRequest& request) {
         // Candidate pricing runs on the worker pool when asked (and the
         // pool exists); per-index result slots keep the winner independent
         // of scheduling, so thread count never changes the placement. The
-        // request's trace context is handed to the workers so their
-        // opt_candidate spans land in this request's trace.
+        // request's trace context is handed to the workers so the
+        // optimizer's opt_candidate spans land in this request's trace.
         opt::Parallel parallel;
         if (request.threads > 0 && pool_.num_threads() > 0) {
           parallel = [this](std::size_t count,
@@ -387,8 +387,6 @@ OptimizeResponse MappingService::optimize(const OptimizeRequest& request) {
             for (std::size_t i = 0; i < count; ++i) {
               pending.push_back(pool_.async([&fn, trace_ctx, i] {
                 const obs::ScopedTrace scoped(trace_ctx);
-                const obs::SpanScope span(obs::Stage::kOptCandidate,
-                                          static_cast<std::uint32_t>(i));
                 fn(i);
               }));
             }

@@ -183,6 +183,35 @@ double CommMatrix::at(int a, int b) const {
                 static_cast<std::size_t>(b)];
 }
 
+CommGraph::CommGraph(const CommMatrix& matrix) {
+  const auto np = static_cast<std::size_t>(matrix.np());
+  const double* cells = matrix.cells_.data();
+  // Each upper-triangle cell (a, b) is both row a's entry b and row b's
+  // entry a. Rows fill in ascending a, so row p receives its entries q < p
+  // in ascending order before its own pass appends those q > p.
+  row_start_.assign(np + 1, 0);
+  for (std::size_t a = 0; a < np; ++a) {
+    for (std::size_t b = a + 1; b < np; ++b) {
+      if (cells[a * np + b] > 0.0) {
+        ++row_start_[a + 1];
+        ++row_start_[b + 1];
+      }
+    }
+  }
+  for (std::size_t p = 0; p < np; ++p) row_start_[p + 1] += row_start_[p];
+  edges_.resize(row_start_[np]);
+  std::vector<std::size_t> fill(row_start_.begin(), row_start_.end() - 1);
+  for (std::size_t a = 0; a < np; ++a) {
+    for (std::size_t b = a + 1; b < np; ++b) {
+      const double bytes = cells[a * np + b];
+      if (bytes > 0.0) {
+        edges_[fill[a]++] = {static_cast<int>(b), bytes};
+        edges_[fill[b]++] = {static_cast<int>(a), bytes};
+      }
+    }
+  }
+}
+
 double CommMatrix::row_sum(int p) const {
   double total = 0.0;
   for (int q = 0; q < np_; ++q) total += at(p, q);

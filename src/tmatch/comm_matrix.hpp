@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/traffic.hpp"
@@ -48,8 +49,38 @@ class CommMatrix {
   [[nodiscard]] double affinity(int p, const std::vector<int>& group) const;
 
  private:
+  friend class CommGraph;
+
   int np_;
   std::vector<double> cells_;  // np x np, symmetric
+};
+
+// A matrix's nonzero cells in compressed-sparse-row form. Row p lists p's
+// partners in ascending order with their volumes (the diagonal and zero
+// cells are absent), so a sum over a row adds exactly the nonzero terms of
+// a dense at(p, 0..np-1) scan, in the same order, and gives the same bits.
+// The matrix is symmetric, so q is in row p exactly when p is in row q.
+class CommGraph {
+ public:
+  struct Edge {
+    int peer = 0;
+    double bytes = 0.0;
+  };
+
+  // Two passes over the dense upper triangle: O(np^2) reads, no regrowth.
+  explicit CommGraph(const CommMatrix& matrix);
+
+  [[nodiscard]] int np() const {
+    return static_cast<int>(row_start_.size()) - 1;
+  }
+  [[nodiscard]] std::span<const Edge> row(int p) const {
+    return {edges_.data() + row_start_[static_cast<std::size_t>(p)],
+            edges_.data() + row_start_[static_cast<std::size_t>(p) + 1]};
+  }
+
+ private:
+  std::vector<std::size_t> row_start_;  // np + 1 offsets into edges_
+  std::vector<Edge> edges_;
 };
 
 }  // namespace lama

@@ -6,10 +6,16 @@
 // Mercier's line of work; MPI graph communicators): it needs no launch-time
 // control, only a rank permutation the application applies.
 //
-// Algorithm: greedy pairwise exchange. Each pass evaluates every rank pair
-// swap and applies the one with the largest cost reduction, repeating until
-// no swap helps or the pass budget is exhausted. O(n^3) per pass — fine for
-// node-level job sizes, deterministic.
+// Algorithm: greedy pairwise exchange. Each pass sweeps the rank pairs
+// (a, b), a < b, in order and keeps every swap that lowers the two ranks'
+// summed cost by more than 1e-9 ns as it meets it, repeating until a pass
+// keeps none or the pass budget is exhausted. Deterministic.
+//
+// A swap changes only the two ranks' rows, and each rank's cost is cached,
+// so pricing one candidate swap reads the two ranks' rows of the matrix's
+// CSR graph (tmatch/comm_matrix.hpp) and nothing else; a kept swap
+// re-prices the two ranks and their partners. A pass costs O(np^2 * d) for
+// an average degree d; on a dense matrix (d = np - 1) that is still O(np^3).
 #pragma once
 
 #include <cstddef>
@@ -47,6 +53,13 @@ struct ReorderResult {
 ReorderResult reorder_ranks(const Allocation& alloc,
                             const MappingResult& mapping,
                             const CommMatrix& matrix,
+                            const DistanceModel& model,
+                            std::size_t max_passes = 8);
+
+// The same, against the matrix's graph when the caller already holds it.
+ReorderResult reorder_ranks(const Allocation& alloc,
+                            const MappingResult& mapping,
+                            const CommGraph& graph,
                             const DistanceModel& model,
                             std::size_t max_passes = 8);
 

@@ -10,44 +10,67 @@ namespace lama {
 
 namespace {
 
-// Greedy affinity partition of `procs` into parts of the given sizes
-// (sizes sum to procs.size()). Part i is seeded with the unassigned process
-// of largest total communication and grown by maximum affinity to the part.
-std::vector<std::vector<int>> partition(const CommMatrix& matrix,
-                                        const std::vector<int>& procs,
-                                        const std::vector<std::size_t>& sizes) {
-  std::vector<std::vector<int>> parts(sizes.size());
-  std::vector<int> remaining = procs;
-
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    std::vector<int>& part = parts[i];
-    while (part.size() < sizes[i]) {
-      LAMA_ASSERT(!remaining.empty());
-      std::size_t best = 0;
-      double best_score = -1.0;
-      for (std::size_t j = 0; j < remaining.size(); ++j) {
-        // Affinity to the part under construction; for the seed, total
-        // communication volume (gather the hubs first).
-        const double score = part.empty()
-                                 ? matrix.row_sum(remaining[j])
-                                 : matrix.affinity(remaining[j], part);
-        if (score > best_score) {
-          best_score = score;
-          best = j;
-        }
-      }
-      part.push_back(remaining[best]);
-      remaining.erase(remaining.begin() + static_cast<std::ptrdiff_t>(best));
-    }
-  }
-  LAMA_ASSERT(remaining.empty());
-  return parts;
-}
-
 struct TreeMatchRun {
   const Allocation& alloc;
-  const CommMatrix& matrix;
+  const CommGraph graph;
+  std::vector<double> row_sum;   // per process: CommMatrix::row_sum
+  std::vector<double> affinity;  // partition() scratch, per process
   MappingResult result;
+
+  TreeMatchRun(const Allocation& a, const CommMatrix& matrix)
+      : alloc(a), graph(matrix) {
+    row_sum.assign(static_cast<std::size_t>(matrix.np()), 0.0);
+    affinity.assign(row_sum.size(), 0.0);
+    for (int p = 0; p < matrix.np(); ++p) {
+      for (const CommGraph::Edge& e : graph.row(p)) {
+        row_sum[static_cast<std::size_t>(p)] += e.bytes;
+      }
+    }
+  }
+
+  // Greedy affinity partition of `procs` into parts of the given sizes
+  // (sizes sum to procs.size()). Part i is seeded with the unassigned
+  // process of largest total communication and grown by maximum affinity to
+  // the part. A process's affinity to the part under construction is kept
+  // as a running sum: when a member joins, its graph row adds the member's
+  // volume to each partner. Each sum gains the same terms in the same order
+  // as a scan over the part's members would (a zero term leaves a sum
+  // unchanged), so scores and tie-breaks are those of that scan, at
+  // O(n^2 + m) per call.
+  std::vector<std::vector<int>> partition(
+      const std::vector<int>& procs, const std::vector<std::size_t>& sizes) {
+    std::vector<std::vector<int>> parts(sizes.size());
+    std::vector<int> remaining = procs;
+
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      std::vector<int>& part = parts[i];
+      for (const int p : remaining) affinity[static_cast<std::size_t>(p)] = 0.0;
+      while (part.size() < sizes[i]) {
+        LAMA_ASSERT(!remaining.empty());
+        std::size_t best = 0;
+        double best_score = -1.0;
+        for (std::size_t j = 0; j < remaining.size(); ++j) {
+          // Affinity to the part under construction; for the seed, total
+          // communication volume (gather the hubs first).
+          const std::size_t p = static_cast<std::size_t>(remaining[j]);
+          const double score = part.empty() ? row_sum[p] : affinity[p];
+          if (score > best_score) {
+            best_score = score;
+            best = j;
+          }
+        }
+        const int joined = remaining[best];
+        part.push_back(joined);
+        remaining.erase(remaining.begin() +
+                        static_cast<std::ptrdiff_t>(best));
+        for (const CommGraph::Edge& e : graph.row(joined)) {
+          affinity[static_cast<std::size_t>(e.peer)] += e.bytes;
+        }
+      }
+    }
+    LAMA_ASSERT(remaining.empty());
+    return parts;
+  }
 
   // Recursively partitions `procs` below `obj` on node `node`. Leaves assign.
   void descend(std::size_t node, const TopoObject& obj,
@@ -86,8 +109,7 @@ struct TreeMatchRun {
       left -= sizes[i];
     }
 
-    const std::vector<std::vector<int>> parts =
-        partition(matrix, procs, sizes);
+    const std::vector<std::vector<int>> parts = partition(procs, sizes);
     for (std::size_t i = 0; i < children.size(); ++i) {
       descend(node, *children[i], parts[i], online);
     }
@@ -116,7 +138,7 @@ MappingResult map_treematch(const Allocation& alloc, const CommMatrix& matrix,
         " online processing units");
   }
 
-  TreeMatchRun run{alloc, matrix, {}};
+  TreeMatchRun run(alloc, matrix);
   run.result.layout = "treematch";
   run.result.procs_per_node.assign(alloc.num_nodes(), 0);
   run.result.sweeps = 1;
@@ -135,8 +157,7 @@ MappingResult map_treematch(const Allocation& alloc, const CommMatrix& matrix,
     left -= sizes[i];
   }
 
-  const std::vector<std::vector<int>> parts =
-      partition(matrix, procs, sizes);
+  const std::vector<std::vector<int>> parts = run.partition(procs, sizes);
   for (std::size_t i = 0; i < alloc.num_nodes(); ++i) {
     run.descend(i, alloc.node(i).topo.root(), parts[i], online[i]);
   }

@@ -8,13 +8,17 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "lama/mapping.hpp"
+#include "support/rng.hpp"
+#include "tmatch/comm_matrix.hpp"
 #include "topo/node_topology.hpp"
+#include "topo/random.hpp"
 
 namespace lama::test {
 
@@ -22,6 +26,53 @@ namespace lama::test {
 // each). The paper's worked example uses two of them.
 inline Allocation figure2_allocation(std::size_t nodes = 2) {
   return allocate_all(Cluster::homogeneous(nodes, "socket:2 core:4 pu:2"));
+}
+
+// 1-4 random nodes (topo/random.hpp): uneven fan-outs, bridged mid-levels,
+// SMT or not, and about one object in seven off-lined.
+inline Allocation random_allocation(SplitMix64& rng) {
+  Cluster cluster;
+  const std::size_t nodes = 1 + rng.next_below(4);
+  for (std::size_t n = 0; n < nodes; ++n) {
+    RandomTopologyOptions topo;
+    topo.seed = rng.next();
+    topo.max_fanout = 3;
+    topo.smt = rng.next_bool(0.5);
+    topo.disable_fraction = 0.15;
+    cluster.add_node(random_topology(topo, "r" + std::to_string(n)));
+  }
+  return allocate_all(cluster);
+}
+
+// `degree` random partners per rank. Weights are sometimes fractional, so
+// the byte count a price sees is the truncated volume, and some round to 0.
+// Half the payloads are dense `row` lines over the whole matrix.
+inline CommMatrix random_comm_matrix(int np, int degree, SplitMix64& rng) {
+  CommMatrix edges(np);
+  for (int p = 0; p < np; ++p) {
+    for (int d = 0; d < degree; ++d) {
+      int q = static_cast<int>(
+          rng.next_below(static_cast<std::uint64_t>(np - 1)));
+      if (q >= p) ++q;
+      const double bytes =
+          rng.next_bool(0.2)
+              ? rng.next_double() * 3.0
+              : static_cast<double>(1024 * (1 + rng.next_below(64)));
+      edges.add(p, q, bytes);
+    }
+  }
+  if (rng.next_bool(0.5)) return edges;
+  std::string text = "np " + std::to_string(np) + "\n";
+  char cell[64];
+  for (int p = 0; p < np; ++p) {
+    text += "row " + std::to_string(p);
+    for (int q = 0; q < np; ++q) {
+      std::snprintf(cell, sizeof(cell), " %.17g", edges.at(p, q));
+      text += cell;
+    }
+    text += "\n";
+  }
+  return CommMatrix::parse(text);
 }
 
 // Small SMT nodes: 2 sockets x 2 cores x 2 threads (8 PUs each) — compact

@@ -284,6 +284,36 @@ TEST(Mapper, SharedTreeOverloadMatchesBuildingOne) {
   }
 }
 
+TEST(Mapper, TreeServesEveryLayoutWithTheSameLevels) {
+  // A tree depends on its layout only through the kept within-node levels
+  // and the presence of 'n': one built for "scbnh" serves "hcsbn".
+  const Allocation alloc = figure2_allocation(3);
+  const MaximalTree tree(alloc, ProcessLayout::parse("scbnh"));
+  for (const char* text : {"scbnh", "hcsbn", "nbsch", "bnsch"}) {
+    const ProcessLayout layout = ProcessLayout::parse(text);
+    for (const std::size_t np : {5u, 48u, 61u}) {
+      test::expect_identical_mappings(lama_map(alloc, layout, {.np = np}),
+                                      lama_map(alloc, layout, {.np = np}, tree),
+                                      text);
+    }
+  }
+}
+
+TEST(Mapper, TreeBuiltForOtherLevelsIsRejected) {
+  const Allocation alloc = figure2_allocation(3);
+  const MaximalTree tree(alloc, ProcessLayout::parse("scbnh"));
+  // Other within-node levels, or no 'n' on a multi-node allocation.
+  for (const char* text : {"scL3bnh", "scnh", "hcL1L2L3Nsbn", "scbh"}) {
+    EXPECT_THROW(lama_map(alloc, ProcessLayout::parse(text), {.np = 4}, tree),
+                 MappingError)
+        << text;
+  }
+  // Another allocation's tree has the wrong node count.
+  EXPECT_THROW(lama_map(figure2_allocation(2), ProcessLayout::parse("scbnh"),
+                        {.np = 4}, tree),
+               MappingError);
+}
+
 TEST(Mapper, SharedTreeIsSafeForConcurrentMaps) {
   // The const-correctness contract behind the service's tree cache: many
   // mapping runs may read one maximal tree at once.

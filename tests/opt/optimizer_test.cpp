@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <thread>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "common/fixtures.hpp"
 #include "lama/mapper.hpp"
 #include "opt/candidates.hpp"
+#include "sim/evaluator.hpp"
 #include "sim/traffic.hpp"
 #include "support/error.hpp"
 #include "tmatch/comm_matrix.hpp"
@@ -117,6 +121,104 @@ TEST(Objective, CongestionTermSeparatesShapes) {
 
   EXPECT_LT(placement_cost_ns(alloc, balanced, m, model),
             placement_cost_ns(alloc, pack, m, model));
+}
+
+// J as the evaluator prices it: one message per communicating pair of the
+// matrix's upper triangle, the evaluator's total, and the hottest NIC's
+// drain time at network bandwidth, weighted 8.
+double evaluator_cost_ns(const Allocation& alloc, const MappingResult& mapping,
+                         const CommMatrix& matrix, const DistanceModel& model) {
+  TrafficPattern pattern{"matrix", matrix.np(), {}};
+  for (int a = 0; a < matrix.np(); ++a) {
+    for (int b = a + 1; b < matrix.np(); ++b) {
+      const double bytes = matrix.at(a, b);
+      if (bytes <= 0.0) continue;
+      pattern.messages.push_back({a, b, static_cast<std::size_t>(bytes)});
+    }
+  }
+  const CostReport report = evaluate_mapping(alloc, mapping, pattern, model);
+  return report.total_ns +
+         8.0 * (static_cast<double>(report.max_nic_bytes) /
+                model.network_cost().bandwidth_gb_s);
+}
+
+TEST(Objective, MatchesTheEvaluatorBitForBit) {
+  const DistanceModel model = DistanceModel::commodity();
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SplitMix64 rng(seed);
+    const Allocation alloc = test::random_allocation(rng);
+    const int np = 2 + static_cast<int>(rng.next_below(95));
+    const int degree =
+        std::min(np - 1, 1 + static_cast<int>(rng.next_below(8)));
+    const CommMatrix matrix = test::random_comm_matrix(np, degree, rng);
+    const auto specs =
+        make_candidates(alloc, static_cast<std::size_t>(np), 16);
+    for (const std::vector<std::size_t>& group : group_by_tree(specs)) {
+      const auto tree = group_tree(alloc, specs[group.front()]);
+      for (const std::size_t i : group) {
+        MappingResult m;
+        try {
+          m = realize_candidate(alloc, matrix, static_cast<std::size_t>(np),
+                                specs[i], tree.get());
+        } catch (const Error&) {
+          continue;  // seed unavailable on this allocation
+        }
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      placement_cost_ns(alloc, m, matrix, model)),
+                  std::bit_cast<std::uint64_t>(
+                      evaluator_cost_ns(alloc, m, matrix, model)))
+            << "seed=" << seed << " np=" << np << " " << specs[i].source;
+      }
+    }
+  }
+}
+
+TEST(Candidates, SeedsOnSharedTreesMatchFreshWalks) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SplitMix64 rng(seed);
+    const Allocation alloc = test::random_allocation(rng);
+    const std::size_t np = 1 + rng.next_below(2 * alloc.total_online_pus());
+    const CommMatrix matrix(static_cast<int>(np));
+    const auto specs = make_candidates(alloc, np, 16);
+    const auto groups = group_by_tree(specs);
+    // The six orderings of "scbnh" with the "hcsbn" packs, the two
+    // 9-letter layouts, and multisection, which walks no tree.
+    ASSERT_EQ(groups.size(), 3u);
+    std::vector<std::size_t> seen;
+    for (const std::vector<std::size_t>& group : groups) {
+      const auto tree = group_tree(alloc, specs[group.front()]);
+      EXPECT_EQ(tree == nullptr, specs[group.front()].kind ==
+                                     CandidateSpec::Kind::kMultisection);
+      for (const std::size_t i : group) {
+        seen.push_back(i);
+        if (tree == nullptr) continue;
+        const std::string ctx =
+            "seed=" + std::to_string(seed) + " np=" + std::to_string(np) +
+            " " + specs[i].source;
+        MapOptions opts;
+        opts.np = np;
+        if (specs[i].kind == CandidateSpec::Kind::kCappedPack) {
+          opts.set_cap(ResourceType::kNode, specs[i].npernode);
+        }
+        MappingResult fresh;
+        try {
+          fresh = lama_map(alloc, specs[i].layout, opts);
+        } catch (const Error&) {
+          EXPECT_THROW(
+              realize_candidate(alloc, matrix, np, specs[i], tree.get()),
+              Error)
+              << ctx;
+          continue;
+        }
+        test::expect_identical_mappings(
+            fresh, realize_candidate(alloc, matrix, np, specs[i], tree.get()),
+            ctx);
+      }
+    }
+    std::sort(seen.begin(), seen.end());
+    ASSERT_EQ(seen.size(), specs.size());  // every seed in one group
+    for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
+  }
 }
 
 TEST(Optimizer, BeatsBestCanonicalOnMisalignedHalo) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "common/fixtures.hpp"
 #include "support/error.hpp"
 
 namespace lama {
@@ -147,6 +151,53 @@ TEST(CommMatrix, RejectsNegativeAndNonFiniteWeights) {
   EXPECT_THROW(CommMatrix::parse("np 2\nrow 0 0 -1\n"), ParseError);
   CommMatrix m(2);
   EXPECT_THROW(m.add(0, 1, -1.0), MappingError);
+}
+
+TEST(CommGraph, RowsListNonzeroCellsInAscendingOrder) {
+  CommMatrix m(5);
+  m.add(3, 0, 7);
+  m.add(1, 3, 2);
+  m.add(4, 3, 5);
+  m.add(2, 2, 9);  // diagonal: absent
+  const CommGraph g(m);
+  ASSERT_EQ(g.np(), 5);
+  ASSERT_EQ(g.row(3).size(), 3u);
+  EXPECT_EQ(g.row(3)[0].peer, 0);
+  EXPECT_EQ(g.row(3)[1].peer, 1);
+  EXPECT_EQ(g.row(3)[2].peer, 4);
+  EXPECT_DOUBLE_EQ(g.row(3)[2].bytes, 5.0);
+  EXPECT_TRUE(g.row(2).empty());
+  ASSERT_EQ(g.row(0).size(), 1u);
+  EXPECT_EQ(g.row(0)[0].peer, 3);
+}
+
+TEST(CommGraph, RowsAreTheDenseRowsWithoutZeros) {
+  // Edge and dense-row payloads, fractional weights: every row is the
+  // dense row's nonzero cells in column order, so sums over it have the
+  // bits of row_sum.
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SplitMix64 rng(seed);
+    const int np = 2 + static_cast<int>(rng.next_below(60));
+    const int degree =
+        std::min(np - 1, 1 + static_cast<int>(rng.next_below(8)));
+    const CommMatrix m = test::random_comm_matrix(np, degree, rng);
+    const CommGraph g(m);
+    for (int p = 0; p < np; ++p) {
+      std::size_t k = 0;
+      double sum = 0.0;
+      for (int q = 0; q < np; ++q) {
+        if (m.at(p, q) <= 0.0) continue;
+        ASSERT_LT(k, g.row(p).size()) << "seed=" << seed << " row " << p;
+        EXPECT_EQ(g.row(p)[k].peer, q);
+        EXPECT_EQ(g.row(p)[k].bytes, m.at(p, q));
+        sum += g.row(p)[k].bytes;
+        ++k;
+      }
+      EXPECT_EQ(k, g.row(p).size()) << "seed=" << seed << " row " << p;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(sum),
+                std::bit_cast<std::uint64_t>(m.row_sum(p)));
+    }
+  }
 }
 
 }  // namespace
