@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <string>
+
+#include "common/fingerprint_cases.hpp"
 #include "support/error.hpp"
 #include "topo/serialize.hpp"
 
@@ -71,6 +77,27 @@ TEST(AllocSerialize, ParseRejectsMalformedLines) {
   EXPECT_THROW(parse_allocation("just-one-token\n"), ParseError);
   EXPECT_THROW(parse_allocation("notanumber (node (pu@0))\n"), ParseError);
   EXPECT_THROW(parse_allocation("4 (garbage\n"), ParseError);
+}
+
+// Allocation fingerprints key every service cache and are compared across
+// builds: every case of common/fingerprint_cases.hpp against
+// golden/fingerprints.txt.
+TEST(AllocSerialize, GoldenFingerprintsOfPresetAndRandomAllocations) {
+  std::ifstream in(std::string(LAMA_TEST_GOLDEN_DIR) + "/fingerprints.txt");
+  ASSERT_TRUE(in) << "missing golden/fingerprints.txt";
+  std::map<std::string, std::string> golden;
+  std::string kind, label, hex;
+  while (in >> kind >> label >> hex) {
+    if (kind == "alloc") golden[label] = hex;
+  }
+  const auto cases = test::fingerprint_allocations();
+  ASSERT_EQ(cases.size(), golden.size());
+  for (const auto& [name, alloc] : cases) {
+    char value[17];
+    std::snprintf(value, sizeof(value), "%016llx",
+                  static_cast<unsigned long long>(allocation_fingerprint(alloc)));
+    EXPECT_EQ(value, golden[name]) << name;
+  }
 }
 
 }  // namespace

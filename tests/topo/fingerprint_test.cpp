@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <string>
+
+#include "common/fingerprint_cases.hpp"
 #include "topo/presets.hpp"
 #include "topo/serialize.hpp"
 
@@ -55,6 +61,27 @@ TEST(Fingerprint, DisablingAnObjectChangesHash) {
   EXPECT_NE(before, after);
   topo.set_object_disabled(ResourceType::kCore, 3, false);
   EXPECT_EQ(topology_fingerprint(topo), before);
+}
+
+// Fingerprints key the tree, plan and opt caches and are compared across
+// builds, so their values are pinned: every case of
+// common/fingerprint_cases.hpp against golden/fingerprints.txt.
+TEST(Fingerprint, GoldenValuesOfPresetsAndRandomTrees) {
+  std::ifstream in(std::string(LAMA_TEST_GOLDEN_DIR) + "/fingerprints.txt");
+  ASSERT_TRUE(in) << "missing golden/fingerprints.txt";
+  std::map<std::string, std::string> golden;
+  std::string kind, label, hex;
+  while (in >> kind >> label >> hex) {
+    if (kind == "topo") golden[label] = hex;
+  }
+  const auto cases = test::fingerprint_topologies();
+  ASSERT_EQ(cases.size(), golden.size());
+  for (const auto& [name, topo] : cases) {
+    char value[17];
+    std::snprintf(value, sizeof(value), "%016llx",
+                  static_cast<unsigned long long>(topology_fingerprint(topo)));
+    EXPECT_EQ(value, golden[name]) << name;
+  }
 }
 
 }  // namespace
