@@ -51,6 +51,7 @@ PlacementEngine::PlacementEngine(const MaximalTree& mtree,
   result_.reset_ranks(opts.np, 1, layout.order().size());
   result_.procs_per_node.assign(mtree.num_nodes(), 0);
   pending_.resize(mtree.num_nodes());
+  occupancy_.resize(mtree.num_nodes());
   for (std::size_t cap : opts.resource_caps) {
     if (cap > 0) caps_active_ = true;
   }
@@ -107,7 +108,7 @@ void PlacementEngine::emit_placement(std::size_t node) {
   result_.set_pus(rank_, acc.pus);
   result_.set_coord(rank_, acc.coord);
   ++result_.procs_per_node[node];
-  for (const PrunedObject* target : acc.objects) ++occupancy_[target];
+  for (const PrunedObject* target : acc.objects) ++occupancy_[node][target];
   ++rank_;
   acc.pus.clear_all();
   acc.targets = 0;
@@ -158,10 +159,12 @@ void PlacementEngine::end_sweep() {
 }
 
 MappingResult PlacementEngine::take_result(const Allocation& alloc) {
-  for (const auto& [target, count] : occupancy_) {
-    if (count > target->available_pus().count()) {
-      result_.pu_oversubscribed = true;
-      break;
+  for (const auto& on_node : occupancy_) {
+    for (const auto& [target, count] : on_node) {
+      if (count > target->available_pus().count()) {
+        result_.pu_oversubscribed = true;
+        break;
+      }
     }
   }
   for (std::size_t i = 0; i < alloc.num_nodes(); ++i) {

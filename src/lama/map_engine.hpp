@@ -107,7 +107,11 @@ class PlacementEngine {
   std::vector<std::size_t> nc_prefix_;   // product of widths 0..j
   std::vector<std::vector<std::uint32_t>> cap_use_;
   MappingResult result_;
-  std::unordered_map<const PrunedObject*, std::size_t> occupancy_;
+  // Processes placed per (node, pruned vertex), one map per node: nodes
+  // with equal topologies share their pruned tree, so a vertex alone does
+  // not name a node's PUs.
+  std::vector<std::unordered_map<const PrunedObject*, std::size_t>>
+      occupancy_;
 };
 
 }  // namespace detail

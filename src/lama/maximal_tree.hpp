@@ -2,8 +2,17 @@
 // topologies. It defines one iteration space — a width per layout level —
 // that covers every node in a heterogeneous system; coordinates that do not
 // exist on a particular node are skipped by the mapper at lookup time.
+//
+// Identical nodes are the common case, so each distinct node topology is
+// pruned once: nodes whose topologies have equal content (shape, OS
+// indices, disabled flags) share one PrunedTree. A PrunedObject therefore
+// does not identify a node by itself — whatever counts per vertex must
+// count per (node, vertex). The tree reads the allocation's topologies
+// (pruned objects point into the first node of each distinct content) and
+// must not outlive the allocation it was built from.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -21,10 +30,13 @@ class MaximalTree {
     return node_levels_;
   }
 
-  [[nodiscard]] std::size_t num_nodes() const { return pruned_.size(); }
+  [[nodiscard]] std::size_t num_nodes() const { return of_node_.size(); }
+  // The node's pruned tree, shared by every node of equal content.
   [[nodiscard]] const PrunedTree& pruned(std::size_t node) const {
-    return pruned_[node];
+    return distinct_[of_node_[node]];
   }
+  // How many pruned trees were built: one per distinct node content.
+  [[nodiscard]] std::size_t num_distinct() const { return distinct_.size(); }
 
   // Loop width for a resource level: the number of allocated nodes for
   // kNode, otherwise the maximum fan-out of that level across all nodes.
@@ -40,7 +52,8 @@ class MaximalTree {
 
  private:
   std::vector<ResourceType> node_levels_;
-  std::vector<PrunedTree> pruned_;
+  std::vector<PrunedTree> distinct_;
+  std::vector<std::uint32_t> of_node_;  // node -> index into distinct_
   std::size_t widths_[kNumResourceTypes];
   std::size_t capacity_ = 0;
 };

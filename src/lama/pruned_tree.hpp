@@ -44,6 +44,7 @@ class PrunedObject {
   [[nodiscard]] bool is_leaf() const { return children_.empty(); }
 
   // --- construction ---
+  void reserve_children(std::size_t n) { children_.reserve(n); }
   PrunedObject& add_child(std::unique_ptr<PrunedObject> child);
   void set_available_pus(Bitmap pus) { available_pus_ = std::move(pus); }
 

@@ -119,6 +119,13 @@ MappingResult realize_candidate(const Allocation& alloc,
                                 const CommMatrix& matrix, std::size_t np,
                                 const CandidateSpec& spec,
                                 const MaximalTree* tree) {
+  return realize_candidate(alloc, CommGraph(matrix), np, spec, tree);
+}
+
+MappingResult realize_candidate(const Allocation& alloc,
+                                const CommGraph& graph, std::size_t np,
+                                const CandidateSpec& spec,
+                                const MaximalTree* tree) {
   MapOptions opts;
   opts.np = np;
   opts.allow_oversubscribe = true;
@@ -135,7 +142,7 @@ MappingResult realize_candidate(const Allocation& alloc,
       MapOptions ms_opts;
       ms_opts.np = np;
       ms_opts.allow_oversubscribe = false;
-      return map_treematch(alloc, matrix, ms_opts);
+      return map_treematch(alloc, graph, ms_opts);
     }
     case CandidateSpec::Kind::kCappedPack: {
       opts.set_cap(ResourceType::kNode, spec.npernode);

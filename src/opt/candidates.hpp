@@ -70,9 +70,13 @@ std::unique_ptr<const MaximalTree> group_tree(const Allocation& alloc,
 
 // Materializes one candidate: runs the lama walk on `tree`, its group's
 // tree (only read, so concurrent calls may share it), or the multisection
-// partitioner, for which `tree` is null. Throws on infeasible candidates
-// (e.g. multisection beyond capacity) — callers treat that as "seed not
-// available", not an error.
+// partitioner over `graph`, for which `tree` is null. Throws on infeasible
+// candidates (e.g. multisection beyond capacity) — callers treat that as
+// "seed not available", not an error.
+MappingResult realize_candidate(const Allocation& alloc, const CommGraph& graph,
+                                std::size_t np, const CandidateSpec& spec,
+                                const MaximalTree* tree);
+// The same for a caller holding only the matrix: builds its graph.
 MappingResult realize_candidate(const Allocation& alloc, const CommMatrix& matrix,
                                 std::size_t np, const CandidateSpec& spec,
                                 const MaximalTree* tree);

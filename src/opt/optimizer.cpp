@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "obs/tracer.hpp"
@@ -30,33 +31,33 @@ void check_deadline(std::uint64_t deadline_ns) {
   }
 }
 
-// J over the graph's upper triangle: one message per communicating pair (the
-// matrix already folded direction and multiplicity, so total volume is
-// preserved), in (a, b) order — the order and the terms the evaluator adds
-// for the pattern with those messages, so the total has the same bits.
-double placement_cost_ns(const Allocation& alloc, const MappingResult& mapping,
-                         const CommGraph& graph, const DistanceModel& model) {
-  if (static_cast<std::size_t>(graph.np()) != mapping.num_procs()) {
-    throw MappingError("matrix has " + std::to_string(graph.np()) +
+// J over the matrix's nonzero upper-triangle cells: one message per
+// communicating pair (the matrix already folded direction and multiplicity,
+// so total volume is preserved), in ascending (a, b) order — the order and
+// the terms the evaluator adds for the pattern with those messages, so the
+// total has the same bits. `for_each_pair(visit)` calls visit(a, b, bytes)
+// for those cells in that order; the two overloads below differ only in
+// where they read them.
+template <typename ForEachPair>
+double price_pairs(const Allocation& alloc, const MappingResult& mapping,
+                   const DistanceModel& model, int np,
+                   ForEachPair&& for_each_pair) {
+  if (static_cast<std::size_t>(np) != mapping.num_procs()) {
+    throw MappingError("matrix has " + std::to_string(np) +
                        " ranks but the mapping " +
                        std::to_string(mapping.num_procs()));
   }
   const SlotPricer pricer(alloc, mapping, model);
   double total_ns = 0.0;
   std::vector<std::size_t> nic_bytes(alloc.num_nodes(), 0);
-  for (int a = 0; a < graph.np(); ++a) {
-    const std::size_t slot_a = static_cast<std::size_t>(a);
-    for (const CommGraph::Edge& e : graph.row(a)) {
-      if (e.peer <= a) continue;
-      const std::size_t slot_b = static_cast<std::size_t>(e.peer);
-      const std::size_t bytes = static_cast<std::size_t>(e.bytes);
-      total_ns += pricer.pair_ns(slot_a, slot_b, bytes);
-      if (pricer.node(slot_a) != pricer.node(slot_b)) {
-        nic_bytes[pricer.node(slot_a)] += bytes;
-        nic_bytes[pricer.node(slot_b)] += bytes;
-      }
+  for_each_pair([&](std::size_t slot_a, std::size_t slot_b, double volume) {
+    const std::size_t bytes = static_cast<std::size_t>(volume);
+    total_ns += pricer.pair_ns(slot_a, slot_b, bytes);
+    if (pricer.node(slot_a) != pricer.node(slot_b)) {
+      nic_bytes[pricer.node(slot_a)] += bytes;
+      nic_bytes[pricer.node(slot_b)] += bytes;
     }
-  }
+  });
   std::size_t max_nic_bytes = 0;
   for (const std::size_t b : nic_bytes) {
     max_nic_bytes = std::max(max_nic_bytes, b);
@@ -75,6 +76,22 @@ double placement_cost_ns(const Allocation& alloc, const MappingResult& mapping,
   return total_ns + kCongestionWeight * drain_ns;
 }
 
+// Row a of the graph lists a's partners in ascending order; the cells of
+// the upper triangle are those with peer > a.
+double placement_cost_ns(const Allocation& alloc, const MappingResult& mapping,
+                         const CommGraph& graph, const DistanceModel& model) {
+  return price_pairs(alloc, mapping, model, graph.np(), [&](auto&& visit) {
+    for (int a = 0; a < graph.np(); ++a) {
+      for (const CommGraph::Edge& e : graph.row(a)) {
+        if (e.peer > a) {
+          visit(static_cast<std::size_t>(a),
+                static_cast<std::size_t>(e.peer), e.bytes);
+        }
+      }
+    }
+  });
+}
+
 struct Priced {
   bool feasible = false;
   double cost_ns = std::numeric_limits<double>::infinity();
@@ -90,9 +107,22 @@ std::uint64_t OptBudget::key() const {
   return h;
 }
 
+// The dense upper triangle, skipping the cells the graph omits (zeros).
 double placement_cost_ns(const Allocation& alloc, const MappingResult& mapping,
                          const CommMatrix& matrix, const DistanceModel& model) {
-  return placement_cost_ns(alloc, mapping, CommGraph(matrix), model);
+  const int np = matrix.np();
+  return price_pairs(alloc, mapping, model, np, [&](auto&& visit) {
+    for (int a = 0; a < np; ++a) {
+      const std::span<const double> row = matrix.row(a);
+      for (int b = a + 1; b < np; ++b) {
+        const double bytes = row[static_cast<std::size_t>(b)];
+        if (bytes > 0.0) {
+          visit(static_cast<std::size_t>(a), static_cast<std::size_t>(b),
+                bytes);
+        }
+      }
+    }
+  });
 }
 
 OptimizeResult optimize_placement(const Allocation& alloc,
@@ -121,7 +151,7 @@ OptimizeResult optimize_placement(const Allocation& alloc,
     const obs::SpanScope span(obs::Stage::kOptCandidate,
                               static_cast<std::uint32_t>(i));
     try {
-      MappingResult m = realize_candidate(alloc, matrix, np, specs[i], tree);
+      MappingResult m = realize_candidate(alloc, graph, np, specs[i], tree);
       const double cost = placement_cost_ns(alloc, m, graph, model);
       priced[i].mapping = std::move(m);
       priced[i].cost_ns = cost;

@@ -219,9 +219,10 @@ struct ProtocolSession::Impl {
 
 // Fingerprint of the full control-plane state: every field a snapshot
 // preserves and replay rebuilds, nothing more — so a state restored from
-// snapshot+journal hashes identically to one replayed from genesis. The
-// serialized topology carries the availability ('!') flags, so OFFLINE and
-// ONLINE move the digest.
+// snapshot+journal hashes identically to one replayed from genesis. A node
+// enters as the hash of its serialized topology, which carries the
+// availability ('!') flags, so OFFLINE and ONLINE move the digest; the
+// topology caches that hash, so no node is serialized here.
 std::uint64_t ProtocolSession::Impl::digest() const {
   std::uint64_t h = fnv1a64("lama-dur-v1");
   for (const auto& [id, e] : allocs) {
@@ -230,7 +231,7 @@ std::uint64_t ProtocolSession::Impl::digest() const {
     for (std::size_t i = 0; i < e.current.num_nodes(); ++i) {
       const AllocatedNode& node = e.current.node(i);
       h = hash_combine(h, node.slots);
-      h = hash_combine(h, fnv1a64(serialize_topology(node.topo)));
+      h = hash_combine(h, node.topo.content_hash());
     }
     if (!e.last.has_value()) {
       h = hash_combine(h, 0);

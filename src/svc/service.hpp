@@ -113,8 +113,11 @@ struct ServiceConfig {
   std::vector<SloObjective> slo;
 };
 
-// An allocation interned into the service: deep-copied, validated, and
+// An allocation interned into the service: copied, validated, and
 // fingerprinted once, then shared by every request that maps onto it. The
+// copy shares each node's topology tree with the caller's allocation, and
+// the fingerprint combines the hashes those trees cache, so interning costs
+// a reference count and a few hash combines per node. The
 // epoch versions the allocation across availability changes: every
 // OFFLINE/ONLINE (or node addition) bumps it, and the handle's fingerprint
 // changes with the hardware, so stale trees can never serve a new epoch.

@@ -4,10 +4,12 @@
 // on (allocation, layout), not on np or mapping options, so repeated queries
 // against the same cluster can skip straight to the iteration walk. Keys
 // combine the canonical allocation fingerprint with the canonical layout
-// string; values own a private copy of the allocation (the pruned trees hold
-// pointers into its topology objects) plus the tree built over it, shared
-// immutably via shared_ptr so evicted trees stay alive for requests still
-// mapping from them.
+// string; values hold their own copy of the allocation (the pruned trees
+// hold pointers into its topology objects) plus the tree built over it,
+// shared immutably via shared_ptr so evicted trees stay alive for requests
+// still mapping from them. That copy shares every node's topology tree with
+// the interned allocation it was made from (topo/node_topology.hpp), so it
+// costs a reference count per node, not a deep copy.
 //
 // Concurrency: keys hash-partition across independent shards, each a mutex +
 // LruMap + in-flight table. A miss publishes a shared_future before building
@@ -46,9 +48,12 @@ struct TreeKeyHash {
 };
 
 // An immutable (allocation, layout, maximal tree) triple. The allocation is
-// a deep copy made at build time: the tree's pruned objects point into these
-// topologies, so tying their lifetimes together is what makes the cached
-// value safe to share after the requesting client's allocation is gone.
+// a copy made at build time; it shares its nodes' topology trees, which are
+// immutable while shared. The tree's pruned objects point into those
+// topologies, so holding them here is what makes the cached value safe to
+// share after the requesting client's allocation is gone, and a later
+// OFFLINE/ONLINE of the client's allocation clones the node it writes
+// instead of changing what this copy sees.
 //
 // Every tree carries an integrity checksum sealed at build time — the hash
 // of the fingerprint/layout pair it was built for. verify() re-derives the

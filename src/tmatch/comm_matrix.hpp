@@ -41,6 +41,12 @@ class CommMatrix {
 
   void add(int a, int b, double bytes);
   [[nodiscard]] double at(int a, int b) const;
+  // Row p's np cells: row(p)[q] == at(p, q).
+  [[nodiscard]] std::span<const double> row(int p) const {
+    return {cells_.data() +
+                static_cast<std::size_t>(p) * static_cast<std::size_t>(np_),
+            static_cast<std::size_t>(np_)};
+  }
 
   // Total volume process `p` exchanges with everyone.
   [[nodiscard]] double row_sum(int p) const;

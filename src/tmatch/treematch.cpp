@@ -11,17 +11,15 @@ namespace lama {
 namespace {
 
 struct TreeMatchRun {
-  const Allocation& alloc;
-  const CommGraph graph;
+  const CommGraph& graph;
   std::vector<double> row_sum;   // per process: CommMatrix::row_sum
   std::vector<double> affinity;  // partition() scratch, per process
   MappingResult result;
 
-  TreeMatchRun(const Allocation& a, const CommMatrix& matrix)
-      : alloc(a), graph(matrix) {
-    row_sum.assign(static_cast<std::size_t>(matrix.np()), 0.0);
+  explicit TreeMatchRun(const CommGraph& g) : graph(g) {
+    row_sum.assign(static_cast<std::size_t>(graph.np()), 0.0);
     affinity.assign(row_sum.size(), 0.0);
-    for (int p = 0; p < matrix.np(); ++p) {
+    for (int p = 0; p < graph.np(); ++p) {
       for (const CommGraph::Edge& e : graph.row(p)) {
         row_sum[static_cast<std::size_t>(p)] += e.bytes;
       }
@@ -120,12 +118,17 @@ struct TreeMatchRun {
 
 MappingResult map_treematch(const Allocation& alloc, const CommMatrix& matrix,
                             const MapOptions& opts) {
+  return map_treematch(alloc, CommGraph(matrix), opts);
+}
+
+MappingResult map_treematch(const Allocation& alloc, const CommGraph& graph,
+                            const MapOptions& opts) {
   alloc.validate();
   const std::size_t np =
-      opts.np == 0 ? static_cast<std::size_t>(matrix.np()) : opts.np;
-  if (np != static_cast<std::size_t>(matrix.np())) {
+      opts.np == 0 ? static_cast<std::size_t>(graph.np()) : opts.np;
+  if (np != static_cast<std::size_t>(graph.np())) {
     throw MappingError("treematch: np " + std::to_string(np) +
-                       " does not match the " + std::to_string(matrix.np()) +
+                       " does not match the " + std::to_string(graph.np()) +
                        "-process communication matrix");
   }
   if (opts.pus_per_proc != 1) {
@@ -138,7 +141,7 @@ MappingResult map_treematch(const Allocation& alloc, const CommMatrix& matrix,
         " online processing units");
   }
 
-  TreeMatchRun run(alloc, matrix);
+  TreeMatchRun run(graph);
   run.result.layout = "treematch";
   run.result.procs_per_node.assign(alloc.num_nodes(), 0);
   run.result.sweeps = 1;

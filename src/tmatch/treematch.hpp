@@ -27,6 +27,10 @@ namespace lama {
 // consulted (the matrix, not an order, drives placement).
 MappingResult map_treematch(const Allocation& alloc, const CommMatrix& matrix,
                             const MapOptions& opts);
+// The same over the matrix's graph, for callers that already built it (the
+// CommMatrix overload builds one and delegates here).
+MappingResult map_treematch(const Allocation& alloc, const CommGraph& graph,
+                            const MapOptions& opts);
 
 // Registers a "treematch" rmaps component (priority 40) bound to a fixed
 // communication matrix. Component args are unused.

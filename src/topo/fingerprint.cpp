@@ -1,12 +1,11 @@
 #include "topo/fingerprint.hpp"
 
 #include "support/hash.hpp"
-#include "topo/serialize.hpp"
 
 namespace lama {
 
 std::uint64_t topology_fingerprint(const NodeTopology& topo) {
-  return mix64(fnv1a64(serialize_topology(topo)));
+  return mix64(topo.content_hash());
 }
 
 }  // namespace lama

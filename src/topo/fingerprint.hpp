@@ -4,7 +4,9 @@
 // (topo/serialize.hpp), which already captures the full tree shape, OS
 // indices, and disabled markers while ignoring cosmetic state such as the
 // node name. serialize → parse → fingerprint is a fixed point, so a topology
-// that travelled over the wire hashes identically to the original.
+// that travelled over the wire hashes identically to the original. The hash
+// of the serialized form is cached with the topology's tree
+// (NodeTopology::content_hash), so a fingerprint costs no walk.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,9 @@
 #include <functional>
 
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "support/strings.hpp"
+#include "topo/serialize.hpp"
 
 namespace lama {
 
@@ -19,14 +21,86 @@ std::unique_ptr<TopoObject> clone_subtree(const TopoObject& src) {
   return copy;
 }
 
+// The level_index-th object of type t under `obj`, or nullptr.
+TopoObject* find_object(TopoObject& obj, ResourceType t,
+                        std::size_t level_index) {
+  if (obj.type() == t) {
+    return obj.level_index() == static_cast<int>(level_index) ? &obj
+                                                              : nullptr;
+  }
+  for (std::size_t i = 0; i < obj.num_children(); ++i) {
+    if (TopoObject* hit = find_object(obj.mutable_child(i), t, level_index)) {
+      return hit;
+    }
+  }
+  return nullptr;
+}
+
+bool any_disabled(const TopoObject& obj) {
+  if (obj.disabled()) return true;
+  for (std::size_t i = 0; i < obj.num_children(); ++i) {
+    if (any_disabled(obj.child(i))) return true;
+  }
+  return false;
+}
+
+void enable_all(TopoObject& obj) {
+  obj.set_disabled(false);
+  for (std::size_t i = 0; i < obj.num_children(); ++i) {
+    enable_all(obj.mutable_child(i));
+  }
+}
+
+// What serialize_topology() writes: type, OS index, disabled flag and the
+// children in order.
+bool same_objects(const TopoObject& a, const TopoObject& b) {
+  if (a.type() != b.type() || a.os_index() != b.os_index() ||
+      a.disabled() != b.disabled() || a.num_children() != b.num_children()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.num_children(); ++i) {
+    if (!same_objects(a.child(i), b.child(i))) return false;
+  }
+  return true;
+}
+
+void collect_online(const TopoObject& obj, Bitmap& online) {
+  if (obj.disabled()) return;
+  if (obj.is_leaf()) {
+    online |= obj.cpuset();
+    return;
+  }
+  for (std::size_t i = 0; i < obj.num_children(); ++i) {
+    collect_online(obj.child(i), online);
+  }
+}
+
 }  // namespace
 
-NodeTopology& NodeTopology::operator=(const NodeTopology& other) {
-  if (this == &other) return *this;
-  name_ = other.name_;
-  root_ = clone_subtree(*other.root_);
-  finalize();
-  return *this;
+NodeTopology::NodeTopology(std::string name, std::unique_ptr<TopoObject> root)
+    : name_(std::move(name)), tree_(std::make_shared<Tree>()) {
+  tree_->root = std::move(root);
+  finalize(*tree_);
+  refresh(*tree_);
+}
+
+NodeTopology::Tree& NodeTopology::own_tree() {
+  // A count of 1 means no other copy holds the tree, and none can appear
+  // during the write: a copy is made by reading this object, which must not
+  // race with writing it.
+  if (tree_.use_count() > 1) {
+    auto copy = std::make_shared<Tree>();
+    copy->root = clone_subtree(*tree_->root);
+    finalize(*copy);
+    tree_ = std::move(copy);
+  }
+  return *tree_;
+}
+
+bool NodeTopology::same_content(const NodeTopology& other) const {
+  if (tree_ == other.tree_) return true;
+  return tree_->content_hash == other.tree_->content_hash &&
+         same_objects(*tree_->root, *other.tree_->root);
 }
 
 NodeTopology NodeTopology::synthetic(const std::string& description,
@@ -72,9 +146,7 @@ NodeTopology NodeTopology::synthetic(const std::string& description,
         "pu)");
   }
 
-  NodeTopology topo;
-  topo.name_ = std::move(name);
-  topo.root_ = std::make_unique<TopoObject>(ResourceType::kNode, 0);
+  auto root = std::make_unique<TopoObject>(ResourceType::kNode, 0);
 
   // Expand the uniform tree; os indices count objects per level.
   std::vector<int> next_os(spec.size(), 0);
@@ -87,15 +159,14 @@ NodeTopology NodeTopology::synthetic(const std::string& description,
           expand(child, depth + 1);
         }
       };
-  expand(*topo.root_, 0);
-  topo.finalize();
-  return topo;
+  expand(*root, 0);
+  return NodeTopology(std::move(name), std::move(root));
 }
 
-void NodeTopology::finalize() {
-  LAMA_ASSERT(root_ != nullptr);
-  levels_.clear();
-  leaves_.clear();
+void NodeTopology::finalize(Tree& tree) {
+  LAMA_ASSERT(tree.root != nullptr && tree.leaves.empty());
+  std::vector<ResourceType>& levels = tree.levels;
+  std::vector<TopoObject*>& leaves = tree.leaves;
 
   // Collect present levels (set of types) and leaves in DFS order.
   bool present[kNumResourceTypes] = {};
@@ -104,8 +175,8 @@ void NodeTopology::finalize() {
     present[canonical_depth(obj.type())] = true;
     obj.set_level_index(next_level_index[canonical_depth(obj.type())]++);
     if (obj.is_leaf()) {
-      const std::size_t pu_index = leaves_.size();
-      leaves_.push_back(&obj);
+      const std::size_t pu_index = leaves.size();
+      leaves.push_back(&obj);
       obj.set_cpuset(Bitmap::single(pu_index));
       return;
     }
@@ -116,25 +187,31 @@ void NodeTopology::finalize() {
     }
     obj.set_cpuset(std::move(span));
   };
-  walk(*root_);
+  walk(*tree.root);
 
   for (ResourceType t : all_resource_types()) {
-    if (present[canonical_depth(t)]) levels_.push_back(t);
+    if (present[canonical_depth(t)]) levels.push_back(t);
   }
-  LAMA_ASSERT(!leaves_.empty());
+  LAMA_ASSERT(!leaves.empty());
   // All leaves must share one type (the smallest processing unit).
-  for (const TopoObject* leaf : leaves_) {
-    if (leaf->type() != leaves_.front()->type()) {
+  for (const TopoObject* leaf : leaves) {
+    if (leaf->type() != leaves.front()->type()) {
       throw ParseError("topology leaves must all be the same resource type");
     }
   }
-  if (levels_.back() != leaves_.front()->type()) {
+  if (levels.back() != leaves.front()->type()) {
     throw ParseError("leaf type must be the deepest level in the tree");
   }
 }
 
+void NodeTopology::refresh(Tree& tree) {
+  tree.online.clear_all();
+  collect_online(*tree.root, tree.online);
+  tree.content_hash = fnv1a64(serialize_object(*tree.root));
+}
+
 bool NodeTopology::has_level(ResourceType t) const {
-  for (ResourceType level : levels_) {
+  for (ResourceType level : levels()) {
     if (level == t) return true;
   }
   return false;
@@ -149,7 +226,7 @@ std::vector<const TopoObject*> NodeTopology::objects_at(ResourceType t) const {
     }
     for (std::size_t i = 0; i < obj.num_children(); ++i) walk(obj.child(i));
   };
-  walk(*root_);
+  walk(root());
   return out;
 }
 
@@ -157,25 +234,11 @@ std::size_t NodeTopology::count(ResourceType t) const {
   return objects_at(t).size();
 }
 
-std::size_t NodeTopology::pu_count() const { return leaves_.size(); }
-
-Bitmap NodeTopology::online_pus() const {
-  Bitmap online;
-  std::function<void(const TopoObject&)> walk = [&](const TopoObject& obj) {
-    if (obj.disabled()) return;
-    if (obj.is_leaf()) {
-      online |= obj.cpuset();
-      return;
-    }
-    for (std::size_t i = 0; i < obj.num_children(); ++i) walk(obj.child(i));
-  };
-  walk(*root_);
-  return online;
-}
+std::size_t NodeTopology::pu_count() const { return tree_->leaves.size(); }
 
 const TopoObject& NodeTopology::pu(std::size_t index) const {
-  LAMA_ASSERT(index < leaves_.size());
-  return *leaves_[index];
+  LAMA_ASSERT(index < tree_->leaves.size());
+  return *tree_->leaves[index];
 }
 
 const TopoObject* NodeTopology::ancestor_of_pu(std::size_t pu_index,
@@ -185,45 +248,42 @@ const TopoObject* NodeTopology::ancestor_of_pu(std::size_t pu_index,
 
 void NodeTopology::set_object_disabled(ResourceType t, std::size_t level_index,
                                        bool disabled) {
-  std::function<TopoObject*(TopoObject&)> find = [&](TopoObject& obj)
-      -> TopoObject* {
-    if (obj.type() == t) {
-      return obj.level_index() == static_cast<int>(level_index) ? &obj
-                                                                : nullptr;
-    }
-    for (std::size_t i = 0; i < obj.num_children(); ++i) {
-      if (TopoObject* hit = find(obj.mutable_child(i))) return hit;
-    }
-    return nullptr;
-  };
-  TopoObject* obj = find(*root_);
+  const TopoObject* obj = find_object(*tree_->root, t, level_index);
   if (obj == nullptr) {
     throw MappingError("no " + std::string(resource_name(t)) + " with index " +
                        std::to_string(level_index) + " on " + name_);
   }
-  obj->set_disabled(disabled);
+  if (obj->disabled() == disabled) return;
+  Tree& tree = own_tree();
+  find_object(*tree.root, t, level_index)->set_disabled(disabled);
+  refresh(tree);
 }
 
 void NodeTopology::restrict_pus(const Bitmap& allowed) {
-  for (std::size_t i = 0; i < leaves_.size(); ++i) {
-    if (!allowed.test(i)) leaves_[i]->set_disabled(true);
+  const std::vector<TopoObject*>& leaves = tree_->leaves;
+  bool changes = false;
+  for (std::size_t i = 0; i < leaves.size() && !changes; ++i) {
+    changes = !allowed.test(i) && !leaves[i]->disabled();
   }
+  if (!changes) return;
+  Tree& tree = own_tree();
+  for (std::size_t i = 0; i < tree.leaves.size(); ++i) {
+    if (!allowed.test(i)) tree.leaves[i]->set_disabled(true);
+  }
+  refresh(tree);
 }
 
 void NodeTopology::clear_restrictions() {
-  std::function<void(TopoObject&)> walk = [&](TopoObject& obj) {
-    obj.set_disabled(false);
-    for (std::size_t i = 0; i < obj.num_children(); ++i) {
-      walk(obj.mutable_child(i));
-    }
-  };
-  walk(*root_);
+  if (!any_disabled(root())) return;
+  Tree& tree = own_tree();
+  enable_all(*tree.root);
+  refresh(tree);
 }
 
 std::string NodeTopology::shape_string() const {
   std::string out = name_ + "(";
   bool first = true;
-  for (ResourceType t : levels_) {
+  for (ResourceType t : levels()) {
     if (t == ResourceType::kNode) continue;
     if (!first) out += " x ";
     first = false;
@@ -250,7 +310,7 @@ std::string NodeTopology::render() const {
       walk(obj.child(i), indent + 1);
     }
   };
-  walk(*root_, 0);
+  walk(root(), 0);
   return out;
 }
 
@@ -294,11 +354,7 @@ NodeTopology::Builder& NodeTopology::Builder::disable() {
 
 NodeTopology NodeTopology::Builder::build() {
   LAMA_ASSERT(stack_.size() == 1);
-  NodeTopology topo;
-  topo.name_ = std::move(name_);
-  topo.root_ = std::move(root_);
-  topo.finalize();
-  return topo;
+  return NodeTopology(std::move(name_), std::move(root_));
 }
 
 }  // namespace lama

@@ -1,5 +1,6 @@
 // A single vertex in a hardware-topology tree: one socket, one cache, one
-// core, ... Owned exclusively by its parent (the NodeTopology owns the root).
+// core, ... Owned exclusively by its parent (the root by the tree that the
+// copies of a NodeTopology share).
 #pragma once
 
 #include <memory>

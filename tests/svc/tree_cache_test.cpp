@@ -8,6 +8,9 @@
 
 #include "cluster/alloc_serialize.hpp"
 #include "support/error.hpp"
+#include "svc/service.hpp"
+#include "topo/presets.hpp"
+#include "topo/serialize.hpp"
 
 namespace lama::svc {
 namespace {
@@ -154,6 +157,59 @@ TEST(TreeCache, BuildFailurePropagatesAndIsNotCached) {
   const auto lookup = cache.get_or_build(key, good, layout);
   EXPECT_FALSE(lookup.hit);
   EXPECT_EQ(cache.size(), 1u);
+}
+
+// The protocol session keeps each allocation as NODE lines parse it (one
+// tree per node), interns it before a MAP, and the MAP caches a tree over
+// the interned copy. Both copies share every node's topology tree with the
+// session's allocation, the maximal tree prunes the equal nodes once, and
+// an OFFLINE of one node clones that node alone.
+TEST(TreeCache, InternedAndCachedCopiesShareTheSessionsNodeTrees) {
+  const std::string line =
+      "16 " + serialize_topology(presets::figure2_node()) + "\n";
+  Allocation session;
+  for (std::size_t n = 0; n < 8; ++n) {
+    AllocatedNode node = parse_allocation(line).node(0);
+    node.cluster_index = n;
+    session.add(std::move(node));
+  }
+  MappingService service({.workers = 0});
+  const InternedAlloc interned = service.intern(session);
+  Counters counters;
+  ShardedTreeCache cache(2, 4, counters);
+  const ProcessLayout layout = ProcessLayout::parse("scbnh");
+  const auto lookup = cache.get_or_build(
+      TreeKey{interned.fingerprint, layout.to_string()}, *interned.alloc,
+      layout);
+  const Allocation& cached = lookup.tree->alloc();
+  for (std::size_t n = 0; n < 8; ++n) {
+    EXPECT_TRUE(interned.alloc->node(n).topo.shares_tree_with(
+        session.node(n).topo)) << n;
+    EXPECT_TRUE(cached.node(n).topo.shares_tree_with(session.node(n).topo))
+        << n;
+  }
+  EXPECT_EQ(lookup.tree->tree().num_distinct(), 1u);
+
+  const std::string before = serialize_allocation(cached);
+  session.mutable_node(3).topo.set_object_disabled(ResourceType::kNode, 0,
+                                                   true);
+  for (std::size_t n = 0; n < 8; ++n) {
+    EXPECT_EQ(cached.node(n).topo.shares_tree_with(session.node(n).topo),
+              n != 3) << n;
+    EXPECT_EQ(interned.alloc->node(n).topo.shares_tree_with(
+                  session.node(n).topo),
+              n != 3) << n;
+  }
+  EXPECT_EQ(serialize_allocation(cached), before);
+  EXPECT_EQ(cached.total_online_pus(), 8u * 16u);
+  EXPECT_EQ(session.total_online_pus(), 7u * 16u);
+
+  const InternedAlloc next = service.intern(session);
+  EXPECT_NE(next.fingerprint, interned.fingerprint);
+  for (std::size_t n = 0; n < 8; ++n) {
+    EXPECT_TRUE(next.alloc->node(n).topo.shares_tree_with(
+        session.node(n).topo)) << n;
+  }
 }
 
 }  // namespace
