@@ -81,7 +81,7 @@ NodeTopology::NodeTopology(std::string name, std::unique_ptr<TopoObject> root)
     : name_(std::move(name)), tree_(std::make_shared<Tree>()) {
   tree_->root = std::move(root);
   finalize(*tree_);
-  refresh(*tree_);
+  refresh();
 }
 
 NodeTopology::Tree& NodeTopology::own_tree() {
@@ -204,10 +204,10 @@ void NodeTopology::finalize(Tree& tree) {
   }
 }
 
-void NodeTopology::refresh(Tree& tree) {
-  tree.online.clear_all();
-  collect_online(*tree.root, tree.online);
-  tree.content_hash = fnv1a64(serialize_object(*tree.root));
+void NodeTopology::refresh() {
+  tree_->online.clear_all();
+  collect_online(root(), tree_->online);
+  tree_->content_hash = fnv1a64(serialize_topology(*this));
 }
 
 bool NodeTopology::has_level(ResourceType t) const {
@@ -256,7 +256,7 @@ void NodeTopology::set_object_disabled(ResourceType t, std::size_t level_index,
   if (obj->disabled() == disabled) return;
   Tree& tree = own_tree();
   find_object(*tree.root, t, level_index)->set_disabled(disabled);
-  refresh(tree);
+  refresh();
 }
 
 void NodeTopology::restrict_pus(const Bitmap& allowed) {
@@ -270,14 +270,14 @@ void NodeTopology::restrict_pus(const Bitmap& allowed) {
   for (std::size_t i = 0; i < tree.leaves.size(); ++i) {
     if (!allowed.test(i)) tree.leaves[i]->set_disabled(true);
   }
-  refresh(tree);
+  refresh();
 }
 
 void NodeTopology::clear_restrictions() {
   if (!any_disabled(root())) return;
   Tree& tree = own_tree();
   enable_all(*tree.root);
-  refresh(tree);
+  refresh();
 }
 
 std::string NodeTopology::shape_string() const {

@@ -148,8 +148,9 @@ class NodeTopology {
   Tree& own_tree();
   // Recomputes cpusets, indices, and the level list.
   static void finalize(Tree& tree);
-  // Recomputes the online set and the content hash after a write.
-  static void refresh(Tree& tree);
+  // Recomputes the online set and the content hash of this topology's own
+  // tree after a write.
+  void refresh();
 
   std::string name_;
   std::shared_ptr<Tree> tree_;

@@ -91,12 +91,8 @@ struct Parser {
 }  // namespace
 
 std::string serialize_topology(const NodeTopology& topo) {
-  return serialize_object(topo.root());
-}
-
-std::string serialize_object(const TopoObject& obj) {
   std::string out;
-  write_object(obj, out);
+  write_object(topo.root(), out);
   return out;
 }
 

@@ -19,10 +19,6 @@ namespace lama {
 // Serializes the full tree, including disabled flags and OS indices.
 std::string serialize_topology(const NodeTopology& topo);
 
-// The same form for the subtree under `obj`; serialize_topology() is this of
-// the root.
-std::string serialize_object(const TopoObject& obj);
-
 // Parses the s-expression form. Throws ParseError on malformed input.
 NodeTopology parse_topology(const std::string& text,
                             std::string name = "node");

@@ -8,7 +8,7 @@
 //   * the tree builds exactly one pruned tree per distinct node content;
 //   * the reference walk on the shared trees, the compiled plan, and the
 //     reference walk on the same allocation with every node made distinct
-//     (so nothing is shared, as before sharing) give identical mappings,
+//     (so no pruned tree is shared) give identical mappings,
 //     pu_oversubscribed included, under pus=1..4, oversubscription and
 //     resource caps. The last one is the oracle that a per-vertex count
 //     which forgot the node would fail.
